@@ -3,7 +3,8 @@
 Every proof is a weighted sum of pairwise constraints whose quadratic
 parts live over the vector symbols (x1 - xstar, g1, g2, s2); the second
 iterate never appears because x2 = x1 - gamma*(g1 + s2) is substituted
-everywhere, and optimal-point gradients are eliminated by g* + s* = 0.
+once, and optimal-point gradients are eliminated by g* + s* = 0. Each
+constraint is one of the interp definitions evaluated on these symbols.
 A certificate stores the closed-form multipliers and the expected
 remainder; verification checks, per gamma,
 
@@ -15,15 +16,18 @@ re-runs the identity in Fraction arithmetic at rational parameter values.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 import math
+import operator
 
 import numpy as np
 
 from .errors import DomainError, VerificationError
+from .interp import convex_slack, pl_slack, rpl_slack, smooth_convex_slack, smooth_slack
 
 VECTOR_SYMBOLS = ("x1", "g1", "g2", "s2")
 SCALAR_SYMBOLS = ("f1", "f2", "h1", "h2", "Fstar")
@@ -32,8 +36,6 @@ _NS = len(SCALAR_SYMBOLS)
 _VIDX = {s: i for i, s in enumerate(VECTOR_SYMBOLS)}
 _SIDX = {s: i for i, s in enumerate(SCALAR_SYMBOLS)}
 
-CONSTRAINT_NAMES = ("A12", "A21", "B12", "B21", "C12", "D2", "E1", "E2", "Eprime1")
-
 IDENTITY_TOL = 1e-11
 MULTIPLIER_TOL = 1e-14
 EIGENVALUE_TOL = 1e-10
@@ -41,6 +43,10 @@ EIGENVALUE_TOL = 1e-10
 
 def _is_exact(*values) -> bool:
     return any(isinstance(v, Fraction) for v in values)
+
+
+def _unit(exact):
+    return Fraction(1) if exact else 1.0
 
 
 def _zero_array(shape, exact):
@@ -75,10 +81,7 @@ class GramExpression:
         return GramExpression(-self.Q, -self.c, -self.k)
 
     def scaled(self, w):
-        w = np.asarray(w) if not isinstance(w, Fraction) else w
-        if isinstance(w, Fraction) or w.ndim == 0:
-            return GramExpression(self.Q * w, self.c * w, self.k * w)
-        return GramExpression(self.Q * w[..., None, None], self.c * w[..., None], self.k * w)
+        return GramExpression(self.Q * _expand(w, 2), self.c * _expand(w, 1), self.k * w)
 
     def evaluate(self, gram, scalars):
         """Value on a concrete Gram matrix and scalar assignment."""
@@ -93,16 +96,11 @@ class GramExpression:
         return np.maximum(np.maximum(q, c), np.abs(self.k))
 
 
-def _expression(batch, exact, quad=None, lin=None, const=None):
-    Q = _zero_array(batch + (_NV, _NV), exact) if quad is None else quad
-    c = _zero_array(batch + (_NS,), exact)
-    k = _zero_array(batch, exact) if batch else (Fraction(0) if exact else 0.0)
-    if lin:
-        for sym, w in lin.items():
-            c[..., _SIDX[sym]] = c[..., _SIDX[sym]] + w
-    if const is not None:
-        k = k + const
-    return GramExpression(np.asarray(Q), np.asarray(c), np.asarray(k))
+def _expand(w, axes):
+    """A scalar as is; an array with `axes` trailing axes appended."""
+    if isinstance(w, np.ndarray) and w.ndim:
+        return w[(...,) + (None,) * axes]
+    return w
 
 
 def _coeff_vector(weights: Mapping[str, object], batch, exact):
@@ -110,21 +108,6 @@ def _coeff_vector(weights: Mapping[str, object], batch, exact):
     for sym, w in weights.items():
         v[..., _VIDX[sym]] = v[..., _VIDX[sym]] + w
     return v
-
-
-def _sym_outer(a, b):
-    P = a[..., :, None] * b[..., None, :]
-    Pt = np.swapaxes(P, -1, -2)
-    return (P + Pt) / 2
-
-
-def _inner(a, b):
-    """Q-matrix of the inner product of two symbol combinations."""
-    return _sym_outer(a, b)
-
-
-def _sqnorm(a):
-    return _sym_outer(a, a)
 
 
 def _batch_of(*params):
@@ -136,72 +119,148 @@ def _batch_of(*params):
     return batch
 
 
-def build_constraint(name: str, L, mu, gamma) -> GramExpression:
-    """Named constraint as a Gram expression, with x2 substituted out.
+# ---------------------------------------------------------------------------
+# Gram symbols as operands of the interp definitions
 
-    The residual-form constraints E1/Eprime1 and E2 encode the squared
-    norms ||g1+s2||^2 and ||g2+s2||^2 respectively; for E2 this uses that
-    the residual norm at the second point is dominated by the certified
-    subgradient norm there.
-    """
+
+class _Vec:
+    """A vector operand: coefficients over VECTOR_SYMBOLS, (..., 4)."""
+
+    __slots__ = ("a", "unit")
+    __array_ufunc__ = None  # numpy scalars and arrays defer to __rmul__
+
+    def __init__(self, a, unit):
+        self.a = a
+        self.unit = unit
+
+    def __add__(self, other):
+        return _Vec(self.a + other.a, self.unit)
+
+    def __sub__(self, other):
+        return _Vec(self.a - other.a, self.unit)
+
+    def __rmul__(self, w):
+        return _Vec(_expand(w, 1) * self.a, self.unit)
+
+    def __matmul__(self, other):
+        return _Form(((self.unit, self.a, other.a),), (), self.unit)
+
+
+class _Form:
+    """A scalar operand, kept lazy: bilinear terms (weight, a, b) standing
+    for weight*<a, b>, plus (symbol, coefficient) pairs over
+    SCALAR_SYMBOLS. The unit (1.0 or Fraction(1)) seeds every weight, so
+    division by an integer stays exact in exact mode."""
+
+    __slots__ = ("terms", "lin", "unit")
+    __array_ufunc__ = None
+
+    def __init__(self, terms, lin, unit):
+        self.terms = terms
+        self.lin = lin
+        self.unit = unit
+
+    def _map(self, op):
+        terms = tuple((op(w), a, b) for w, a, b in self.terms)
+        return _Form(terms, tuple((s, op(w)) for s, w in self.lin), self.unit)
+
+    def __add__(self, other):
+        return _Form(self.terms + other.terms, self.lin + other.lin, self.unit)
+
+    def __sub__(self, other):
+        return self + other._map(operator.neg)
+
+    def __rmul__(self, w):
+        return self._map(lambda v: w * v)
+
+    def __truediv__(self, d):
+        return self._map(lambda v: v / d)
+
+    def expression(self, batch, exact) -> GramExpression:
+        """Materialize Q = sum of weight*sym(a b^T) once, on the batch shape;
+        a symbol repeated in the linear part accumulates."""
+        shape = batch + (_NV, _NV)
+        Q = None
+        for w, a, b in self.terms:
+            P = a[..., :, None] * b[..., None, :]
+            term = (P + np.swapaxes(P, -1, -2)) / 2
+            if w is not self.unit:  # spares exact mode a multiply by one
+                term = _expand(w, 2) * term
+            Q = term if Q is None else Q + term
+        if Q is None:
+            Q = _zero_array(shape, exact)
+        elif Q.shape != shape:
+            Q = np.broadcast_to(Q, shape).copy()
+        c = _zero_array(batch + (_NS,), exact)
+        for sym, w in self.lin:
+            c[..., _SIDX[sym]] = c[..., _SIDX[sym]] + w
+        return GramExpression(Q, c, _zero_array(batch, exact))
+
+
+_Point = namedtuple("_Point", "x g fv")
+
+
+def _symbols(exact):
+    unit = _unit(exact)
+    vectors = [_Vec(row, unit) for row in np.eye(_NV, dtype=object if exact else float) * unit]
+    return vectors + [_Form((), ((s, unit),), unit) for s in SCALAR_SYMBOLS]
+
+
+# x1, g1, g2, s2, f1, f2, h1, h2, Fstar as operands, for float and exact mode
+_SYMBOLS = {exact: _symbols(exact) for exact in (False, True)}
+
+
+def _gram_operands(L, mu, gamma, exact):
+    x1, g1, g2, s2, f1, f2, h1, h2, fstar = _SYMBOLS[exact]
+    G1 = g1 + s2  # the residual at x1
+    x2 = x1 - gamma * G1  # the one substitution of the second iterate
+    return {
+        "tf1": _Point(x1, g1, f1), "tf2": _Point(x2, g2, f2),
+        "th1": _Point(x1, None, h1), "th2": _Point(x2, s2, h2),
+        "F1": f1 + h1, "F2": f2 + h2, "Fstar": fstar, "G1": G1,
+        "g2": g2, "s2": s2, "L": L, "mu": mu,
+    }
+
+
+# name -> (definition, operand names). E2 is the D-form at x2: the residual
+# norm there is dominated by the certified subgradient norm ||g2 + s2||.
+_CONSTRAINTS = {
+    "A12": (smooth_slack, ("tf1", "tf2", "L")),
+    "A21": (smooth_slack, ("tf2", "tf1", "L")),
+    "B12": (smooth_convex_slack, ("tf1", "tf2", "L")),
+    "B21": (smooth_convex_slack, ("tf2", "tf1", "L")),
+    "C12": (convex_slack, ("th1", "th2")),
+    "D2": (pl_slack, ("F2", "Fstar", "g2", "s2", "mu")),
+    "E1": (rpl_slack, ("F1", "Fstar", "G1", "mu")),
+}
+_CONSTRAINTS["E2"] = _CONSTRAINTS["D2"]
+_CONSTRAINTS["Eprime1"] = _CONSTRAINTS["E1"]
+CONSTRAINT_NAMES = tuple(_CONSTRAINTS)
+
+
+def build_constraint(name: str, L, mu, gamma) -> GramExpression:
+    """Named constraint as a Gram expression: its interp definition
+    evaluated on the Gram operands, with x2 substituted out."""
+    if name not in _CONSTRAINTS:
+        raise DomainError(f"unknown constraint name {name!r}")
     exact = _is_exact(L, mu, gamma)
     batch = _batch_of(L, mu, gamma)
     if not exact:
         L = np.asarray(L, dtype=float) if np.shape(L) else float(L)
         mu = np.asarray(mu, dtype=float) if np.shape(mu) else float(mu)
         gamma = np.asarray(gamma, dtype=float) if np.shape(gamma) else float(gamma)
-
-    def vec(**weights):
-        return _coeff_vector(weights, batch, exact)
-
-    one = Fraction(1) if exact else 1.0
-    half = one / 2
-    g1 = vec(g1=one)
-    g2 = vec(g2=one)
-    s2 = vec(s2=one)
-    # x1 - x2 = gamma*(g1 + s2); x1 itself cancels from every constraint
-    x1mx2 = _coeff_vector({"g1": gamma, "s2": gamma}, batch, exact)
-
-    if name == "A12":
-        Q = (
-            -(L / 4) * _sqnorm(x1mx2)
-            + half * _inner(g1 + g2, x1mx2)
-            + (one / (4 * L)) * _sqnorm(g1 - g2)
-        )
-        return _expression(batch, exact, quad=Q, lin={"f2": one, "f1": -one})
-    if name == "A21":
-        Q = (
-            -(L / 4) * _sqnorm(x1mx2)
-            - half * _inner(g1 + g2, x1mx2)
-            + (one / (4 * L)) * _sqnorm(g1 - g2)
-        )
-        return _expression(batch, exact, quad=Q, lin={"f1": one, "f2": -one})
-    if name == "B12":
-        Q = _inner(g2, x1mx2) + (one / (2 * L)) * _sqnorm(g1 - g2)
-        return _expression(batch, exact, quad=Q, lin={"f2": one, "f1": -one})
-    if name == "B21":
-        Q = -_inner(g1, x1mx2) + (one / (2 * L)) * _sqnorm(g1 - g2)
-        return _expression(batch, exact, quad=Q, lin={"f1": one, "f2": -one})
-    if name == "C12":
-        Q = _inner(s2, x1mx2)
-        return _expression(batch, exact, quad=Q, lin={"h2": one, "h1": -one})
-    if name in ("D2", "E2"):
-        Q = -(one / (2 * mu)) * _sqnorm(g2 + s2)
-        return _expression(batch, exact, quad=Q, lin={"f2": one, "h2": one, "Fstar": -one})
-    if name in ("E1", "Eprime1"):
-        Q = -(one / (2 * mu)) * _sqnorm(g1 + s2)
-        return _expression(batch, exact, quad=Q, lin={"f1": one, "h1": one, "Fstar": -one})
-    raise DomainError(f"unknown constraint name {name!r}")
+    definition, names = _CONSTRAINTS[name]
+    operands = _gram_operands(L, mu, gamma, exact)
+    return definition(*(operands[n] for n in names)).expression(batch, exact)
 
 
 def objective_gap_expression(which: str, batch=(), exact=False) -> GramExpression:
     """F(x2)-F* for which='final', F(x1)-F* for which='initial'."""
-    one = Fraction(1) if exact else 1.0
-    if which == "final":
-        return _expression(batch, exact, lin={"f2": one, "h2": one, "Fstar": -one})
-    if which == "initial":
-        return _expression(batch, exact, lin={"f1": one, "h1": one, "Fstar": -one})
-    raise DomainError(f"unknown objective selector {which!r}")
+    if which not in ("final", "initial"):
+        raise DomainError(f"unknown objective selector {which!r}")
+    _x1, _g1, _g2, _s2, f1, f2, h1, h2, fstar = _SYMBOLS[exact]
+    F = f2 + h2 if which == "final" else f1 + h1
+    return (F - fstar).expression(batch, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -241,23 +300,15 @@ class Certificate:
         exact = _is_exact(L, mu, gamma)
         batch = _batch_of(L, mu, gamma)
         if self.remainder_coeff is None:
-            return _expression(batch, exact)
-        coeff = self.remainder_coeff(L, mu, gamma)
-        weights = self.remainder_weights(L, mu, gamma)
-        v = _coeff_vector(weights, batch, exact)
-        Q = _sqnorm(v)
-        if isinstance(coeff, Fraction) or np.ndim(coeff) == 0:
-            Q = Q * coeff
-        else:
-            Q = Q * np.asarray(coeff)[..., None, None]
-        return _expression(batch, exact, quad=Q)
+            return _Form((), (), _unit(exact)).expression(batch, exact)
+        v = _Vec(_coeff_vector(self.remainder_weights(L, mu, gamma), batch, exact), _unit(exact))
+        return (self.remainder_coeff(L, mu, gamma) * (v @ v)).expression(batch, exact)
 
     def weighted_combination(self, L, mu, gamma) -> GramExpression:
         """objective - rho*gap - sum(multiplier * constraint)."""
-        expr = objective_gap_expression("final", _batch_of(L, mu, gamma), _is_exact(L, mu, gamma))
-        expr = expr - objective_gap_expression(
-            "initial", _batch_of(L, mu, gamma), _is_exact(L, mu, gamma)
-        ).scaled(self.rate(L, mu, gamma))
+        batch, exact = _batch_of(L, mu, gamma), _is_exact(L, mu, gamma)
+        expr = objective_gap_expression("final", batch, exact)
+        expr = expr - objective_gap_expression("initial", batch, exact).scaled(self.rate(L, mu, gamma))
         for cname, _label, formula in self.multipliers:
             expr = expr - build_constraint(cname, L, mu, gamma).scaled(formula(L, mu, gamma))
         return expr
@@ -295,7 +346,7 @@ def certificate_catalog() -> list[Certificate]:
             ),
             rate=lambda L, m, g: (L * g + 1) ** 2 / _den31_1(L, m, g),
             remainder_coeff=lambda L, m, g: (L**2 * g**2 - 3) / (4 * L * _den31_1(L, m, g)),
-            remainder_weights=lambda L, m, g: {"g1": L * g + 1, "s2": L * g, "g2": -(g * 0 + 1)},
+            remainder_weights=lambda L, m, g: {"g1": L * g + 1, "s2": L * g, "g2": -1},
             interval=_interval(lambda L: 0.0, lambda L: _SQRT3 / L, False, True),
             check_kind="equality",
         )
@@ -314,7 +365,7 @@ def certificate_catalog() -> list[Certificate]:
             ),
             rate=lambda L, m, g: (L * g - 1) ** 2 / _den_large(L, m, g),
             remainder_coeff=lambda L, m, g: (3 - L**2 * g**2) / (4 * L * _den_large(L, m, g)),
-            remainder_weights=lambda L, m, g: {"g1": L * g - 1, "s2": L * g, "g2": g * 0 + 1},
+            remainder_weights=lambda L, m, g: {"g1": L * g - 1, "s2": L * g, "g2": 1},
             interval=_interval(lambda L: _SQRT3 / L, lambda L: 2.0 / L, False, False),
             check_kind="equality",
         )
@@ -333,7 +384,7 @@ def certificate_catalog() -> list[Certificate]:
             ),
             rate=lambda L, m, g: 1 / (2 * g * m + 1),
             remainder_coeff=lambda L, m, g: (2 * L * g - 3) / (2 * L * (2 * g * m + 1)),
-            remainder_weights=lambda L, m, g: {"g1": g * 0 + 1, "g2": -(g * 0 + 1)},
+            remainder_weights=lambda L, m, g: {"g1": 1, "g2": -1},
             interval=_interval(lambda L: 0.0, lambda L: 1.5 / L, False, True),
             check_kind="equality",
         )
@@ -352,7 +403,7 @@ def certificate_catalog() -> list[Certificate]:
             ),
             rate=lambda L, m, g: (L * g - 1) ** 2 / _den_large(L, m, g),
             remainder_coeff=lambda L, m, g: (3 - 2 * L * g) / (2 * L * _den_large(L, m, g)),
-            remainder_weights=lambda L, m, g: {"g1": L * g - 1, "s2": L * g, "g2": g * 0 + 1},
+            remainder_weights=lambda L, m, g: {"g1": L * g - 1, "s2": L * g, "g2": 1},
             interval=_interval(lambda L: 1.5 / L, lambda L: 2.0 / L, False, False),
             check_kind="equality",
         )
@@ -364,13 +415,13 @@ def certificate_catalog() -> list[Certificate]:
             fn_class="nonconvex",
             ineq="rpl",
             multipliers=(
-                ("A12", "alpha1", lambda L, m, g: g * 0 + 1),
-                ("C12", "beta1", lambda L, m, g: g * 0 + 1),
+                ("A12", "alpha1", lambda L, m, g: 1),
+                ("C12", "beta1", lambda L, m, g: 1),
                 ("Eprime1", "lambda1", lambda L, m, g: (m - m * (L * g - 1) ** 2) / L),
             ),
             rate=lambda L, m, g: (L + m * (L * g - 1) ** 2 - m) / L,
-            remainder_coeff=lambda L, m, g: -1 / (4 * L) + g * 0,
-            remainder_weights=lambda L, m, g: {"g1": L * g - 1, "s2": L * g, "g2": g * 0 + 1},
+            remainder_coeff=lambda L, m, g: -1 / (4 * L),
+            remainder_weights=lambda L, m, g: {"g1": L * g - 1, "s2": L * g, "g2": 1},
             interval=_interval(lambda L: 0.0, lambda L: 2.0 / L, False, False),
             check_kind="equality",
         )
@@ -389,7 +440,7 @@ def certificate_catalog() -> list[Certificate]:
             ),
             rate=lambda L, m, g: (1 - g * m) / (1 + g * m),
             remainder_coeff=lambda L, m, g: (L * g - 1) / (2 * L * (1 + g * m)),
-            remainder_weights=lambda L, m, g: {"g1": g * 0 + 1, "g2": -(g * 0 + 1)},
+            remainder_weights=lambda L, m, g: {"g1": 1, "g2": -1},
             interval=_interval(lambda L: 0.0, lambda L: 1.0 / L, False, True),
             check_kind="inequality-chain",
         )
@@ -428,7 +479,7 @@ def certificate_catalog() -> list[Certificate]:
             ),
             rate=lambda L, m, g: (L * g - 1) ** 2 / _den_large(L, m, g),
             remainder_coeff=lambda L, m, g: (3 - 2 * L * g) / (2 * L * _den_large(L, m, g)),
-            remainder_weights=lambda L, m, g: {"g1": L * g - 1, "s2": L * g, "g2": g * 0 + 1},
+            remainder_weights=lambda L, m, g: {"g1": L * g - 1, "s2": L * g, "g2": 1},
             interval=_interval(lambda L: 1.5 / L, lambda L: 2.0 / L, False, False),
             check_kind="inequality-chain",
         )
@@ -470,6 +521,11 @@ class CertificateCheck:
         return not self.failures
 
 
+def _on_grid(value, shape):
+    """A formula's value (scalar or per gamma) as floats on the grid shape."""
+    return np.array(np.broadcast_to(np.asarray(value, dtype=float), shape))
+
+
 def verify_certificate(
     cert: Certificate,
     L,
@@ -508,8 +564,7 @@ def verify_certificate(
     mults = {}
     min_mult = np.inf
     for _cname, label, formula in cert.multipliers:
-        val = formula(Lx, mux, gx)
-        arr = np.atleast_1d(np.asarray(val, dtype=float))
+        arr = _on_grid(formula(Lx, mux, gx), gamma_arr.shape)
         mults[label] = arr if arr.size > 1 else float(arr[0])
         min_mult = min(min_mult, float(arr.min()))
     if min_mult < -multiplier_tol:
@@ -547,7 +602,7 @@ def verify_certificate(
 
     rem_coeff = None
     if cert.remainder_coeff is not None:
-        rem_coeff = np.atleast_1d(np.asarray(cert.remainder_coeff(float(L), float(mu), gamma_arr), dtype=float))
+        rem_coeff = _on_grid(cert.remainder_coeff(float(L), float(mu), gamma_arr), gamma_arr.shape)
         if float(rem_coeff.max()) > eigenvalue_tol:
             failures.append(f"remainder coefficient positive: {float(rem_coeff.max()):.3e}")
         if rem_coeff.size == 1:

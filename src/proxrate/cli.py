@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,21 +35,8 @@ def _resolve_output(path):
     return path
 
 
-def _parallel_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _add_common(parser):
+def _add_seed(parser):
     parser.add_argument("--seed", type=int, default=0, help="64-bit PRNG seed (any integer)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="max worker threads for independent sub-tasks (>= 1)",
-    )
 
 
 def _add_query_flags(parser, need_gamma=True):
@@ -93,20 +79,16 @@ def cmd_certify(args):
         else [args.case]
     )
 
-    def check_one(case_id):
+    lines = []
+    for case_id in cases:
         cert = cert_mod.certificate_for(case_id)
         grid = cert_mod.interval_grid(cert, args.L, args.grid)
-        summary = cert_mod.sweep_verify(case_id, args.L, args.mu, grid)
+        s = cert_mod.sweep_verify(case_id, args.L, args.mu, grid)
         if args.exact:
             mid = float(grid[len(grid) // 2])
             chk = cert_mod.verify_certificate(cert, args.L, args.mu, mid, exact=True)
             if not chk.ok:
                 raise VerificationError(f"{case_id} exact check failed: {chk.failures}")
-        return cert, summary
-
-    results = _parallel_map(check_one, cases, args.threads)
-    lines = []
-    for cert, s in results:
         lo, hi, lo_closed, hi_closed = cert.interval(args.L)
         interval = f"{'[' if lo_closed else '('}{lo:.12g}, {hi:.12g}{']' if hi_closed else ')'}"
         lines.append(
@@ -220,12 +202,10 @@ def build_parser():
     p.add_argument("--gamma-min", type=float, help="curve lower gamma, in (0, 2/L)")
     p.add_argument("--gamma-max", type=float, help="curve upper gamma, in (0, 2/L)")
     p.add_argument("--output", help="CSV path for --grid mode")
-    _add_common(p)
     p.set_defaults(fn=cmd_rate)
 
     p = sub.add_parser("optimal-step", help="rate-minimizing step size")
     _add_query_flags(p, need_gamma=False)
-    _add_common(p)
     p.set_defaults(fn=cmd_optimal_step)
 
     p = sub.add_parser("certify", help="verify proof certificates on gamma grids")
@@ -235,7 +215,6 @@ def build_parser():
     p.add_argument("--grid", type=int, default=200, help="points per case interval (>= 1)")
     p.add_argument("--exact", action="store_true", help="also spot-check in exact rational arithmetic")
     p.add_argument("--output", help="report path (defaults to stdout)")
-    _add_common(p)
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("pep-search", help="empirical worst-case lower bound (point or curve)")
@@ -246,7 +225,7 @@ def build_parser():
     p.add_argument("--restarts", type=int, default=64, help="multistart restarts (>= 1)")
     p.add_argument("--budget", type=int, default=120, help="ascent iterations per penalty stage")
     p.add_argument("--output", help="CSV path (required for --grid)")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(fn=cmd_pep_search)
 
     p = sub.add_parser("solve", help="run the proximal gradient method on an instance")
@@ -261,7 +240,7 @@ def build_parser():
     p.add_argument("--stop-tol", type=float, default=1e-10, help="residual-norm stop tolerance (>= 0)")
     p.add_argument("--with-reference", action="store_true", help="add gap/contraction columns vs a reference run")
     p.add_argument("--output", help="trace CSV path")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("experiment", help="step-size comparison on a seeded instance")
@@ -274,7 +253,7 @@ def build_parser():
     p.add_argument("--budget", type=int, default=50_000, help="iteration cap per run (>= 1)")
     p.add_argument("--gap-tol", type=float, default=1e-8, help="target objective gap (> 0)")
     p.add_argument("--outdir", help="directory for trace and summary CSVs")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(fn=cmd_experiment)
 
     return parser

@@ -31,13 +31,12 @@ DEFAULT_POLICIES = {
     "elastic_net": ("1/L", "optimal", "1.9/L"),
 }
 
-# (function class, inequality) whose step rule the "optimal" policy uses.
-# For elastic net it selects only the paper's Prop4.2 rule at lmin+delta,
+# (function class, inequality) of the rates.optimal_step rule that the
+# "optimal" policy uses for elastic net; srlr and lasso take the fixed
+# Prop3.1/Prop3.2 steps. It selects the paper's Prop4.2 rule at lmin+delta,
 # a reproduced step the program does not certify: that modulus is tagged
 # "pl" (see ProblemData.problem), and the published bound follows the tag.
 _PROBLEM_SETTING = {
-    "srlr": ("nonconvex", "pl"),
-    "lasso": ("convex", "pl"),
     "elastic_net": ("convex", "rpl"),
 }
 
@@ -56,18 +55,17 @@ class StepPolicy:
             return self.value / L, self.label
         if self.kind == "absolute":
             return float(self.value), self.label
-        fn_class, ineq = _PROBLEM_SETTING[problem_kind]
-        if problem_kind == "elastic_net":
-            if mu is None:
-                raise DomainError("optimal policy for elastic_net needs mu")
-            # a modulus at or above L still certifies every weaker one, and
-            # the step-selection rule needs mu strictly below L
-            mu_eff = mu if mu < L else L * (1.0 - 1e-12)
-            step = rates.optimal_step(fn_class, ineq, L, mu_eff)
-            return step.gamma_star, step.branch
         if problem_kind == "srlr":
             return math.sqrt(3.0) / L, "Prop3.1"
-        return 1.5 / L, "Prop3.2"
+        if problem_kind == "lasso":
+            return 1.5 / L, "Prop3.2"
+        if mu is None:
+            raise DomainError("optimal policy for elastic_net needs mu")
+        # a modulus at or above L still certifies every weaker one, and
+        # the step-selection rule needs mu strictly below L
+        mu_eff = mu if mu < L else L * (1.0 - 1e-12)
+        step = rates.optimal_step(*_PROBLEM_SETTING[problem_kind], L, mu_eff)
+        return step.gamma_star, step.branch
 
 
 def parse_policy(text) -> StepPolicy:

@@ -1,10 +1,11 @@
-"""Scalar slacks of the pairwise interpolation and PL-type conditions.
+"""The interpolation and domination inequalities, each defined once.
 
-Each condition returns a signed slack that is nonpositive exactly when
-the sampled first-order data is consistent with the stated function
-class, so the same expressions double as trace validators and as the
-constraint vocabulary of the certificate layer. Violation thresholds are
-the caller's business; nothing here raises on a positive slack.
+Each returns a signed slack, nonpositive exactly when the sampled
+first-order data is consistent with the stated function class. The same
+definitions give the float slacks of concrete triples (cond_*), the D/E
+checks of trace validation, and, on Gram symbols, the constraints of the
+certificate layer and the worst-case search. Violation thresholds are the
+caller's business; nothing here raises on a positive slack.
 """
 from __future__ import annotations
 
@@ -56,72 +57,93 @@ class TriplePair:
         return self.f.fv + self.h.fv
 
 
-def cond_A(i: Triple, j: Triple, L: float) -> float:
-    """Slack of the two-point consistency test for L-smooth functions.
+# ---------------------------------------------------------------------------
+# (A)-(E) over generic operands: a point has .x, .g (a (sub)gradient) and
+# .fv; vectors meet only through `@` and every constant is an integer, so
+# float vectors, Fraction vectors and Gram symbols all evaluate them.
 
-    f_j - f_i - (L/4)||x_i-x_j||^2 + (1/2)<g_i+g_j, x_i-x_j>
-        + (1/4L)||g_i-g_j||^2,
-    nonpositive iff some function with L-Lipschitz gradient (no convexity
-    required) takes these values and gradients at the two points. Tight
-    on +-(L/2)||x||^2.
-    """
-    if not L > 0:
-        raise DomainError("L must be positive")
+
+def smooth_slack(i, j, L):
+    """(A) L-smooth interpolation:
+    f_j - f_i - (L/4)||x_i-x_j||^2 + (1/2)<g_i+g_j, x_i-x_j> + (1/4L)||g_i-g_j||^2."""
     dx = i.x - j.x
     dg = i.g - j.g
-    return float(
-        j.fv - i.fv
-        - 0.25 * L * (dx @ dx)
-        + 0.5 * ((i.g + j.g) @ dx)
-        + 0.25 / L * (dg @ dg)
-    )
+    return j.fv - i.fv - L * (dx @ dx) / 4 + ((i.g + j.g) @ dx) / 2 + (dg @ dg) / (4 * L)
+
+
+def smooth_convex_slack(i, j, L):
+    """(B) L-smooth convex interpolation:
+    f_j - f_i + <g_j, x_i-x_j> + (1/2L)||g_i-g_j||^2."""
+    dg = i.g - j.g
+    return j.fv - i.fv + j.g @ (i.x - j.x) + (dg @ dg) / (2 * L)
+
+
+def convex_slack(i, j):
+    """(C) subgradient inequality of a closed proper convex function:
+    h_j - h_i + <s_j, x_i-x_j>."""
+    return j.fv - i.fv + j.g @ (i.x - j.x)
+
+
+def rpl_slack(F, fstar, G, mu):
+    """(E) residual-form domination: F - F* - (1/2mu)||G||^2, with G the
+    prox-gradient residual at the point of value F."""
+    return F - fstar - (G @ G) / (2 * mu)
+
+
+def pl_slack(F, fstar, g, s, mu):
+    """(D) subgradient-form domination: (E) with the residual replaced by
+    g + s, the gradient of f plus a subgradient of h at the point."""
+    return rpl_slack(F, fstar, g + s, mu)
+
+
+# ---------------------------------------------------------------------------
+# checked float slacks on concrete triples
+
+
+def _positive(name, value):
+    if not value > 0:
+        raise DomainError(f"{name} must be positive")
+
+
+def cond_A(i: Triple, j: Triple, L: float) -> float:
+    """Slack of (A): nonpositive iff some function with L-Lipschitz
+    gradient (no convexity required) takes these values and gradients at
+    the two points. Tight on +-(L/2)||x||^2."""
+    _positive("L", L)
+    return float(smooth_slack(i, j, L))
 
 
 def cond_B(i: Triple, j: Triple, L: float) -> float:
-    """Slack of the two-point consistency test for L-smooth convex functions.
-
-    f_j - f_i + <g_j, x_i-x_j> + (1/2L)||g_i-g_j||^2, nonpositive iff some
-    L-smooth convex function interpolates the two triples.
-    """
-    if not L > 0:
-        raise DomainError("L must be positive")
-    dg = i.g - j.g
-    return float(j.fv - i.fv + j.g @ (i.x - j.x) + 0.5 / L * (dg @ dg))
+    """Slack of (B): nonpositive iff some L-smooth convex function
+    interpolates the two triples."""
+    _positive("L", L)
+    return float(smooth_convex_slack(i, j, L))
 
 
 def cond_C(i: Triple, j: Triple) -> float:
-    """Slack of the subgradient inequality for closed proper convex functions.
-
-    h_j - h_i + <s_j, x_i-x_j>, nonpositive iff consistent with convexity.
-    """
-    return float(j.fv - i.fv + j.g @ (i.x - j.x))
+    """Slack of (C): nonpositive iff consistent with convexity."""
+    return float(convex_slack(i, j))
 
 
 def cond_D(i: TriplePair, fstar: float, mu: float) -> float:
-    """Slack of the discretized gradient-domination inequality at a point:
-    F_i - F* - (1/2mu)||g_i + s_i||^2 with s_i a subgradient of h at x_i."""
-    if not mu > 0:
-        raise DomainError("mu must be positive")
-    v = i.f.g + i.h.g
-    return float(i.total_value - fstar - 0.5 / mu * (v @ v))
+    """Slack of (D) at a point, with s_i = i.h.g a subgradient of h there."""
+    _positive("mu", mu)
+    return float(pl_slack(i.total_value, fstar, i.f.g, i.h.g, mu))
 
 
 def cond_E(i: TriplePair, fstar: float, mu: float, residual_norm: float) -> float:
-    """Slack of the residual-based domination inequality:
-    F_i - F* - (1/2mu)*||G_gamma(x_i)||^2."""
-    if not mu > 0:
-        raise DomainError("mu must be positive")
-    return float(i.total_value - fstar - 0.5 / mu * residual_norm**2)
+    """Slack of (E) given ||G_gamma(x_i)||; the residual enters only
+    through its norm, so a 1-vector holding the norm stands in for it."""
+    _positive("mu", mu)
+    return float(rpl_slack(i.total_value, fstar, np.atleast_1d(float(residual_norm)), mu))
 
 
 def cond_E_prime(i: TriplePair, s_next, fstar: float, mu: float) -> float:
     """cond_E with the residual expanded as g_i + s_{i+1}, where s_{i+1}
     is the prox-certified subgradient at the next iterate. On exact
     iterates the two slacks coincide to roundoff."""
-    if not mu > 0:
-        raise DomainError("mu must be positive")
-    v = i.f.g + np.asarray(s_next, dtype=float)
-    return float(i.total_value - fstar - 0.5 / mu * (v @ v))
+    _positive("mu", mu)
+    return float(rpl_slack(i.total_value, fstar, i.f.g + np.asarray(s_next, dtype=float), mu))
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +223,10 @@ def validate_trace(
             if i in increased:
                 skip.append(i)
                 continue
-            gap = trace.F_vals[i] - fstar
-            e_slacks.append(gap - 0.5 / mu * trace.residual_norms[i] ** 2)
+            F = trace.F_vals[i]
+            e_slacks.append(rpl_slack(F, fstar, np.atleast_1d(trace.residual_norms[i]), mu))
             if i >= 1:
-                v = trace.gradients[i] + trace.subgradients[i - 1]
-                d_slacks.append(gap - 0.5 / mu * float(v @ v))
+                d_slacks.append(pl_slack(F, fstar, trace.gradients[i], trace.subgradients[i - 1], mu))
         if skip:
             log.info("skipped D/E checks at %d iterates where F increased", len(skip))
         skipped = np.asarray(skip, dtype=int)

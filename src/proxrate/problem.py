@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import rng, spectral
+from . import rng
 from .errors import DomainError
 
 Array = np.ndarray
@@ -102,8 +102,7 @@ def _check_data(A, b):
 def least_squares_oracle(A, b) -> SmoothOracle:
     """Smooth part 0.5*||Ax - b||^2 with L = lambda_max(A^T A)."""
     A, b = _check_data(A, b)
-    AtA = A.T @ A
-    L = spectral.largest_eigenvalue(AtA)
+    L = float(np.linalg.eigvalsh(A.T @ A)[-1])
 
     def value(x):
         r = A @ x - b
@@ -123,8 +122,7 @@ def robust_log_oracle(A, b) -> SmoothOracle:
     constant for the composition.
     """
     A, b = _check_data(A, b)
-    AtA = A.T @ A
-    L = 2.0 * spectral.largest_eigenvalue(AtA)
+    L = 2.0 * float(np.linalg.eigvalsh(A.T @ A)[-1])
 
     def value(x):
         r = A @ x - b
@@ -213,11 +211,10 @@ class ProblemData:
             return CompositeProblem(robust_log_oracle(self.A, self.b), l1_prox(self.lam))
         if self.kind == "lasso":
             return CompositeProblem(least_squares_oracle(self.A, self.b), l1_prox(self.lam))
-        AtA = self.A.T @ self.A
         # lmin(A^T A) + delta is the strong-convexity modulus of F, which
         # gives the subgradient form everywhere; the prox-residual form
         # holds only at a modulus shrunk by the step-dependent prox factor
-        mu = spectral.smallest_eigenvalue(AtA) + self.delta
+        mu = float(np.linalg.eigvalsh(self.A.T @ self.A)[0]) + self.delta
         return CompositeProblem(
             least_squares_oracle(self.A, self.b),
             elastic_net_prox(self.lam, self.delta),

@@ -1,12 +1,26 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from proxrate import certificate as cm
 from proxrate.errors import DomainError
-from proxrate.interp import Triple, TriplePair, cond_A, cond_B, cond_C, cond_D, cond_E_prime
+from proxrate.interp import (
+    Triple,
+    TriplePair,
+    cond_A,
+    cond_B,
+    cond_C,
+    cond_D,
+    cond_E_prime,
+    convex_slack,
+    pl_slack,
+    rpl_slack,
+    smooth_convex_slack,
+    smooth_slack,
+)
 from proxrate.pgm import PgmConfig, estimate_fstar, run_pgm
 from proxrate.problem import generate_instance
 from proxrate.rates import RateQuery, rate
@@ -142,6 +156,44 @@ class TestBuildConstraint:
         scal = np.array([0.3, 0.2, 0.1, 0.5, 0.7])  # f2 + h2 = Fstar
         expr = cm.build_constraint("D2", L, mu, gamma)
         assert float(expr.evaluate(gram, scal)) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("gamma", [Fraction(3, 10), Fraction(9, 10), Fraction(17, 10)])
+    def test_exact_gram_form_equals_definitions(self, rng, gamma):
+        # integer vectors and values, rational parameters: both sides are
+        # exact, so the Gram form must equal the definition exactly
+        L, mu = Fraction(13, 10), Fraction(21, 100)
+
+        def ints(n):
+            return np.array([Fraction(int(v)) for v in rng.integers(-5, 6, size=n)], dtype=object)
+
+        for _ in range(5):
+            x1, g1, g2, s2 = (ints(6) for _ in range(4))
+            x2 = x1 - gamma * (g1 + s2)
+            vs = [x1, g1, g2, s2]
+            gram = np.array([[a @ b for b in vs] for a in vs], dtype=object)
+            scal = ints(5)
+            f1v, f2v, h1v, h2v, fsv = scal
+            tf1 = SimpleNamespace(x=x1, g=g1, fv=f1v)
+            tf2 = SimpleNamespace(x=x2, g=g2, fv=f2v)
+            th1 = SimpleNamespace(x=x1, g=None, fv=h1v)
+            th2 = SimpleNamespace(x=x2, g=s2, fv=h2v)
+            residual1 = (x1 - x2) / gamma
+            expected = {
+                "A12": smooth_slack(tf1, tf2, L),
+                "A21": smooth_slack(tf2, tf1, L),
+                "B12": smooth_convex_slack(tf1, tf2, L),
+                "B21": smooth_convex_slack(tf2, tf1, L),
+                "C12": convex_slack(th1, th2),
+                "D2": pl_slack(f2v + h2v, fsv, g2, s2, mu),
+                "E1": rpl_slack(f1v + h1v, fsv, residual1, mu),
+                "E2": pl_slack(f2v + h2v, fsv, g2, s2, mu),
+                "Eprime1": rpl_slack(f1v + h1v, fsv, residual1, mu),
+            }
+            assert tuple(expected) == cm.CONSTRAINT_NAMES
+            for name, want in expected.items():
+                got = cm.build_constraint(name, L, mu, gamma).evaluate(gram, scal)
+                assert type(got) is Fraction and type(want) is Fraction, name
+                assert got == want, name
 
     def test_batched_matches_pointwise(self):
         grid = np.linspace(0.1, 1.4, 9)

@@ -81,7 +81,7 @@ class TestCertify:
         report = tmp_path / "report.txt"
         code, _, _ = run_cli(
             ["certify", "--case", "all", "--L", "1", "--mu", "0.1", "--grid", "60",
-             "--output", str(report), "--threads", "2"],
+             "--output", str(report)],
             capsys,
         )
         assert code == 0
@@ -209,6 +209,23 @@ class TestDeterminismAndFuzz:
         )
         assert proc.returncode == 0
         assert proc.stdout.split()[1] == "Thm4.1"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--L", "1", "--mu", "0.1", "--threads", "2"],
+            ["experiment", "--kind", "lasso", "--threads", "1"],
+            ["rate", "--fn-class", "convex", "--ineq", "pl", "--L", "1", "--mu", "0.1", "--gamma", "1",
+             "--seed", "1"],
+            ["optimal-step", "--fn-class", "convex", "--ineq", "pl", "--L", "1", "--mu", "0.1", "--seed", "1"],
+            ["certify", "--L", "1", "--mu", "0.1", "--seed", "1"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_usage_error_exit_two(self):
         proc = subprocess.run(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from proxrate import rng as prng
-from proxrate import spectral
 from proxrate.errors import DomainError
 from proxrate.problem import (
     ProblemData,
@@ -191,19 +190,18 @@ class TestProxProperties:
 
 
 class TestSpectral:
-    def test_power_iteration_against_eigvalsh(self, rng):
+    def test_lipschitz_is_top_eigenvalue(self, rng):
         for _ in range(10):
-            B = rng.standard_normal((15, 15))
-            M = B.T @ B
-            top = np.linalg.eigvalsh(M)[-1]
-            assert spectral.largest_eigenvalue(M) == pytest.approx(top, rel=1e-9)
+            A = rng.standard_normal((30, 8))
+            b = rng.standard_normal(30)
+            top = np.linalg.eigvalsh(A.T @ A)[-1]
+            assert least_squares_oracle(A, b).lipschitz == top
+            assert robust_log_oracle(A, b).lipschitz == 2.0 * top
 
-    def test_inverse_iteration_against_eigvalsh(self, rng):
-        for _ in range(10):
-            B = rng.standard_normal((30, 8))
-            M = B.T @ B
-            bottom = np.linalg.eigvalsh(M)[0]
-            assert spectral.smallest_eigenvalue(M) == pytest.approx(bottom, rel=1e-8)
+    def test_elastic_net_mu_is_bottom_eigenvalue_plus_delta(self):
+        for seed in range(5):
+            data = generate_instance("elastic_net", 30, 8, 0.1, seed=seed, delta=0.5)
+            assert data.problem().mu == np.linalg.eigvalsh(data.A.T @ data.A)[0] + 0.5
 
 
 class TestInstances:
