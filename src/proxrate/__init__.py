@@ -1,6 +1,6 @@
 """Proximal gradient method with worst-case rate certification under
 PL-type inequalities: solver, closed-form rates and step sizes, Gram-space
-proof verification, empirical worst-case search, and experiment drivers.
+proof verification, exact worst-case search, and experiment drivers.
 """
 from .problem import (
     CompositeProblem,

@@ -539,8 +539,12 @@ def verify_certificate(
     """Check one certificate at (L, mu) over a gamma point or grid.
 
     In exact mode the parameters are converted to Fractions (binary
-    floats are exact rationals) and the identity must vanish identically;
-    interval membership is still decided in floating point.
+    floats are exact rationals), the identity must vanish identically and
+    the remainder coefficient, reported as a Fraction, must be <= 0;
+    interval membership and multiplier signs are still decided in
+    floating point. A closed endpoint computed in floating point can lie
+    just outside the interval, where the exact coefficient is positive;
+    `interval_grid` keeps its points inside.
     """
     gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
     inside = cert.gamma_in_interval(L, gamma_arr)
@@ -583,30 +587,34 @@ def verify_certificate(
         rel_residual = 0.0 if exact_zero else np.inf
         if not exact_zero:
             failures.append("identity does not vanish in exact arithmetic")
-        rem_Q = np.asarray(remainder.Q, dtype=float)
+        # the remainder is coeff * ||v||^2, one explicit square (coeff 0
+        # when it is identically zero): it is nonpositive exactly when the
+        # Fraction coefficient is, and its largest eigenvalue is
+        # max(0, trace), so both are decided without rounding
+        coeff = Fraction(0) if cert.remainder_coeff is None else cert.remainder_coeff(Lx, mux, gx)
+        coeffs = np.broadcast_to(np.asarray(coeff, dtype=object), gamma_arr.shape).ravel()
+        if any(c > 0 for c in coeffs):
+            failures.append(f"remainder coefficient positive: {float(max(coeffs)):.3e}")
+        rem_coeff = coeffs[0] if coeffs.size == 1 else coeffs.reshape(gamma_arr.shape)
+        max_eig = float(max(0, *np.atleast_1d(np.trace(remainder.Q, axis1=-2, axis2=-1))))
     else:
         scale = np.maximum(combo.max_abs(), remainder.max_abs())
         rel_residual = float(np.max(residual.max_abs() / np.maximum(scale, 1.0)))
         if rel_residual > identity_tol:
             failures.append(f"identity residual {rel_residual:.3e} exceeds {identity_tol:.1e}")
+        # remainder nonpositivity: eigenvalue check of the quadratic form,
+        # plus the scalar coefficient where the form is an explicit square
         rem_Q = np.asarray(remainder.Q, dtype=float)
-
-    # remainder nonpositivity: eigenvalue check of the quadratic form,
-    # plus the scalar coefficient where the form is an explicit square
-    if rem_Q.ndim == 2:
-        rem_Q = rem_Q[None, ...]
-    eigs = np.linalg.eigvalsh(rem_Q)
-    max_eig = float(eigs.max())
-    if max_eig > eigenvalue_tol:
-        failures.append(f"remainder not negative semidefinite: max eig {max_eig:.3e}")
-
-    rem_coeff = None
-    if cert.remainder_coeff is not None:
-        rem_coeff = _on_grid(cert.remainder_coeff(float(L), float(mu), gamma_arr), gamma_arr.shape)
-        if float(rem_coeff.max()) > eigenvalue_tol:
-            failures.append(f"remainder coefficient positive: {float(rem_coeff.max()):.3e}")
-        if rem_coeff.size == 1:
-            rem_coeff = float(rem_coeff[0])
+        max_eig = float(np.linalg.eigvalsh(rem_Q[None] if rem_Q.ndim == 2 else rem_Q).max())
+        if max_eig > eigenvalue_tol:
+            failures.append(f"remainder not negative semidefinite: max eig {max_eig:.3e}")
+        rem_coeff = None
+        if cert.remainder_coeff is not None:
+            rem_coeff = _on_grid(cert.remainder_coeff(float(L), float(mu), gamma_arr), gamma_arr.shape)
+            if float(rem_coeff.max()) > eigenvalue_tol:
+                failures.append(f"remainder coefficient positive: {float(rem_coeff.max()):.3e}")
+            if rem_coeff.size == 1:
+                rem_coeff = float(rem_coeff[0])
 
     return CertificateCheck(
         case_id=cert.case_id,
@@ -662,9 +670,11 @@ def sweep_verify(case_id: str, L, mu, gamma_grid, **tols) -> SweepSummary:
 
 def interval_grid(cert: Certificate, L: float, n: int, margin: float = 1e-6) -> np.ndarray:
     """n gammas spanning the case interval, shrunk by a relative margin at
-    open endpoints (closed endpoints are included exactly)."""
+    open endpoints. A closed endpoint is moved one ulp inward: its float
+    value can round to just outside the interval, where exact arithmetic
+    sees the certificate fail."""
     lo, hi, lo_closed, hi_closed = cert.interval(L)
     span = hi - lo
-    a = lo if lo_closed and lo > 0 else lo + margin * span
-    b = hi if hi_closed else hi - margin * span
+    a = np.nextafter(lo, hi) if lo_closed and lo > 0 else lo + margin * span
+    b = np.nextafter(hi, lo) if hi_closed else hi - margin * span
     return np.linspace(a, b, n)

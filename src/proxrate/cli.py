@@ -114,7 +114,7 @@ def cmd_pep_search(args):
     out = _resolve_output(args.output)
     if args.gamma is not None:
         params = pepsearch.SearchParams(args.fn_class, args.ineq, args.L, args.mu, args.gamma)
-        res = pepsearch.search_worst_case(params, restarts=args.restarts, budget=args.budget, seed=args.seed)
+        res = pepsearch.search_worst_case(params)
         print(
             f"{format_float(res.best_ratio)} {format_float(res.analytic_rate)} "
             f"{format_float(res.gap)} {res.restarts_used}"
@@ -125,10 +125,7 @@ def cmd_pep_search(args):
     lo = args.gamma_min if args.gamma_min is not None else 0.01 / args.L
     hi = args.gamma_max if args.gamma_max is not None else 1.99 / args.L
     grid = np.linspace(lo, hi, args.grid)
-    rows = pepsearch.tightness_curve(
-        args.fn_class, args.ineq, args.L, args.mu, grid,
-        restarts=args.restarts, budget=args.budget, seed=args.seed,
-    )
+    rows = pepsearch.tightness_curve(args.fn_class, args.ineq, args.L, args.mu, grid)
     pepsearch.write_tightness_csv(out, rows)
     return 0
 
@@ -217,15 +214,12 @@ def build_parser():
     p.add_argument("--output", help="report path (defaults to stdout)")
     p.set_defaults(fn=cmd_certify)
 
-    p = sub.add_parser("pep-search", help="empirical worst-case lower bound (point or curve)")
+    p = sub.add_parser("pep-search", help="exact one-step worst case of the proof's constraint set (point or curve)")
     _add_query_flags(p)
     p.add_argument("--grid", type=int, help="tightness curve on this many gamma points")
     p.add_argument("--gamma-min", type=float, help="curve lower gamma, in (0, 2/L)")
     p.add_argument("--gamma-max", type=float, help="curve upper gamma, in (0, 2/L)")
-    p.add_argument("--restarts", type=int, default=64, help="multistart restarts (>= 1)")
-    p.add_argument("--budget", type=int, default=120, help="ascent iterations per penalty stage")
     p.add_argument("--output", help="CSV path (required for --grid)")
-    _add_seed(p)
     p.set_defaults(fn=cmd_pep_search)
 
     p = sub.add_parser("solve", help="run the proximal gradient method on an instance")

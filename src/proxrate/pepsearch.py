@@ -1,30 +1,33 @@
-"""Empirical worst-case search over small Gram factorizations.
+"""Exact one-step worst case as a small semidefinite program.
 
-For fixed (function class, inequality, L, mu, gamma) this maximizes the
-one-step objective gap F(x2) - F* over instances encoded by a Gram
-factor V (Gram = V V^T is PSD by construction) and the scalar values
-(f1, f2, h1, h2), normalized to F* = 0 and F(x1) - F* = 1, subject to
-the same constraint set the corresponding proof uses. Feasible maxima
-are lower bounds on the worst case, so they must never exceed the
-analytic rate; how closely they approach it measures tightness.
+For fixed (function class, inequality, L, mu, gamma) the largest one-step
+objective gap F(x2) - F* over all instances satisfying the proof's
+constraint set is a semidefinite program (performance estimation: Drori
+& Teboulle, Math. Prog. 2014; Taylor, Hendrickx & Glineur, SIAM J.
+Optim. 2017). Its variables are a PSD Gram matrix over the vector
+symbols and the scalar values (f1, f2, h2), normalized to F* = 0 and
+F(x1) - F* = 1 (so h1 = 1 - f1), and each constraint is a
+`build_constraint` expression required to be <= 0. Its dual is the
+certificate problem: nonnegative multipliers whose weighted constraint
+sum leaves a nonpositive remainder; the dual value is an upper bound.
 
-Method: multistart ascent on a quadratic-penalty objective with the
-penalty weight escalated geometrically, numerical central-difference
-gradients, and per-restart adaptive step sizes. All restarts advance in
-lockstep as one batched state, which keeps the search pure numpy.
+One primal-dual interior-point solve (HKM direction, Mehrotra
+predictor-corrector; Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J.
+Optim. 1996) returns both sides: the worst-case instance, whose gap
+ratio is a lower bound, and one multiplier per constraint with the
+upper bound. The two must agree to DUALITY_GAP_TOL, and the lower bound
+must never exceed the analytic rate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .certificate import VECTOR_SYMBOLS, build_constraint
 from .errors import DomainError, VerificationError
 from .rates import rate_formula
-
-_NV = len(VECTOR_SYMBOLS)
 
 CONSTRAINT_SETS = {
     ("nonconvex", "pl"): ("A12", "A21", "C12", "D2"),
@@ -34,6 +37,7 @@ CONSTRAINT_SETS = {
 }
 
 SOUNDNESS_SLACK = 1e-6
+DUALITY_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,6 @@ class SearchParams:
     L: float
     mu: float
     gamma: float
-    rank: int = _NV
     feasibility_tol: float = 1e-8
 
     def __post_init__(self):
@@ -51,8 +54,6 @@ class SearchParams:
             raise DomainError(f"unknown class/inequality pair ({self.fn_class!r}, {self.ineq!r})")
         if not 0 < self.gamma < 2.0 / self.L:
             raise DomainError(f"gamma out of (0, 2/L): gamma={self.gamma!r}, L={self.L!r}")
-        if not (1 <= self.rank <= _NV):
-            raise DomainError(f"rank must be in 1..{_NV}")
 
     @property
     def constraint_names(self):
@@ -64,7 +65,7 @@ class SearchInstance:
     """A concrete candidate: Gram factor, scalar values, and its slacks."""
 
     params: SearchParams
-    V: np.ndarray  # (4, rank)
+    V: np.ndarray  # (4, k), one row per vector symbol
     f1: float
     f2: float
     h1: float
@@ -107,244 +108,182 @@ class SearchResult:
     max_slack: float
 
 
-class _PenaltyProblem:
-    """Batched penalized objective over restart states."""
+@dataclass(frozen=True)
+class SdpSolution:
+    """Both sides of one solve: the worst-case instance (lower bound) and
+    the multipliers of the constraints with their value (upper bound)."""
 
-    def __init__(self, params: SearchParams):
-        self.params = params
-        exprs = [build_constraint(n, params.L, params.mu, params.gamma) for n in params.constraint_names]
-        self.Qs = np.stack([np.asarray(e.Q, dtype=float) for e in exprs])
-        self.cs = np.stack([np.asarray(e.c, dtype=float) for e in exprs])
-        self.ks = np.array([float(e.k) for e in exprs])
-        self.rank = params.rank
-        self.dim = _NV * self.rank + 3  # V entries + (f1, f2, h2); h1 = 1 - f1
+    instance: SearchInstance
+    upper: float
+    multipliers: dict
+    iterations: int
 
-    def unpack(self, theta):
-        R = theta.shape[0]
-        V = theta[:, : _NV * self.rank].reshape(R, _NV, self.rank)
-        f1 = theta[:, -3]
-        f2 = theta[:, -2]
-        h2 = theta[:, -1]
-        return V, f1, f2, h2
+    @property
+    def lower(self) -> float:
+        return self.instance.ratio
 
-    def slacks(self, theta):
-        V, f1, f2, h2 = self.unpack(theta)
-        G = np.einsum("rik,rjk->rij", V, V)
-        svec = np.stack([f1, f2, 1.0 - f1, h2, np.zeros_like(f1)], axis=1)
-        return np.einsum("mij,rij->rm", self.Qs, G) + svec @ self.cs.T + self.ks
-
-    def penalized(self, theta, weight):
-        _, _, f2, h2 = self.unpack(theta)
-        viol = np.maximum(self.slacks(theta), 0.0)
-        return f2 + h2 - weight * (viol * viol).sum(axis=1)
-
-    def slack_jacobian(self, theta_row):
-        """Exact Jacobian of the slacks for one restart state (m, dim)."""
-        V, _f1, _f2, _h2 = self.unpack(theta_row[None])
-        V = V[0]
-        m = self.Qs.shape[0]
-        J = np.empty((m, self.dim))
-        for i in range(m):
-            J[i, : _NV * self.rank] = (2.0 * self.Qs[i] @ V).ravel()
-            J[i, -3] = self.cs[i, 0] - self.cs[i, 2]  # f1 enters as f1 and 1-f1
-            J[i, -2] = self.cs[i, 1]
-            J[i, -1] = self.cs[i, 3]
-        return J
+    @property
+    def duality_gap(self) -> float:
+        return self.upper - self.lower
 
 
-def _ascend(problem, theta, weight, active, max_iters, step0=0.1):
-    """Adaptive-step gradient ascent on the penalized objective, batched
-    over restarts; `active` masks frozen coordinates (low-rank columns)."""
-    R, D = theta.shape
-    eta = np.full(R, step0)
-    value = problem.penalized(theta, weight)
-    for _ in range(max_iters):
-        grad = np.empty_like(theta)
-        for d in range(D):
-            h = 1e-6 * (1.0 + np.abs(theta[:, d]))
-            tp = theta.copy()
-            tp[:, d] += h
-            tm = theta.copy()
-            tm[:, d] -= h
-            grad[:, d] = (problem.penalized(tp, weight) - problem.penalized(tm, weight)) / (2.0 * h)
-        grad *= active
-        norms = np.linalg.norm(grad, axis=1)
-        direction = grad / np.maximum(norms, 1e-300)[:, None]
-        proposal = theta + eta[:, None] * direction
-        new = problem.penalized(proposal, weight)
-        accept = new > value
-        theta[accept] = proposal[accept]
-        value[accept] = new[accept]
-        eta[accept] *= 1.5
-        eta[~accept] *= 0.5
-        if float(eta.max()) < 1e-11:
-            break
-    return theta, value
+def _step_to_boundary(X, dX, lam, dlam):
+    """Largest step keeping X + a*dX PSD and lam + a*dlam nonnegative."""
+    Linv = np.linalg.inv(np.linalg.cholesky(X))
+    worst = min(float(np.linalg.eigvalsh(Linv @ dX @ Linv.T)[0]), float(np.min(dlam / lam)))
+    return np.inf if worst >= 0 else -1.0 / worst
 
 
-def _polish(problem, theta, active, feas_tol, iters=160):
-    """Working-set refinement of one near-optimal restart state.
+def _interior_point(AS, AL, CL, h):
+    """Primal-dual interior-point method on the cone S^n_+ x R^m_+.
 
-    Penalty ascent stalls within ~1e-2 of the optimum (the penalized
-    surface has curvature proportional to the weight), so this finishes
-    the job as a small active-set method: composite steps move along the
-    objective direction projected on the tangent space of the currently
-    tight constraints, Newton-restoration pins those slacks just inside
-    the feasible side, and a constraint whose least-squares multiplier
-    turns negative is released. Constraints outside the working set only
-    need to stay feasible; they join the set when a step drives them up
-    to the boundary.
+    Primal: min CL.lam  s.t. <AS_k, X> + AL_k.lam = h_k, (X, lam) in the cone.
+    Dual:   max h.y     s.t. Z = -sum_k y_k AS_k and t = CL - AL^T y in the cone.
+    Stops once the relative residuals and the relative gap are below
+    1e-10, when the Newton system turns singular near the optimum, when
+    eight iterations after reaching 1e-8 have not improved on the best
+    iterate (rounding then limits progress), or after 50 iterations.
+    Returns (lam, y) of the iterate where the largest of those three
+    measures was smallest, and the iteration count.
     """
-    theta = theta.copy()
-    m = problem.Qs.shape[0]
-    obj = np.zeros_like(theta)
-    obj[-2:] = 1.0
-    obj *= active
-    inward = 0.25 * feas_tol
-
-    def slacks(t):
-        return problem.slacks(t[None])[0]
-
-    def restore(t, working, newton_iters=4):
-        if not working:
-            return t
-        idx = sorted(working)
-        for _ in range(newton_iters):
-            s = slacks(t)[idx]
-            if float(np.abs(s + inward).max()) <= 0.5 * inward:
-                break
-            J = problem.slack_jacobian(t)[idx] * active
-            t = t - np.linalg.pinv(J, rcond=1e-12) @ (s + inward)
-        return t
-
-    working = {i for i, s in enumerate(slacks(theta)) if s >= -1e-6}
-    theta = restore(theta, working)
-    ratio = float(theta[-2] + theta[-1])
-    trust = 0.05
-    for _ in range(iters):
-        working |= {i for i, s in enumerate(slacks(theta)) if s >= -1e-7}
-        J_all = problem.slack_jacobian(theta) * active
-        if working:
-            idx = sorted(working)
-            J = J_all[idx]
-            Jp = np.linalg.pinv(J, rcond=1e-12)
-            tangent = obj - Jp @ (J @ obj)
-        else:
-            tangent = obj.copy()
-        tnorm = float(np.linalg.norm(tangent))
-        if tnorm < 1e-9:
-            # stationary on the current face: release a constraint whose
-            # multiplier is negative, otherwise this is a KKT point
-            if not working:
-                break
-            idx = sorted(working)
-            lam, *_ = np.linalg.lstsq(J_all[idx].T, obj, rcond=None)
-            worst = int(np.argmin(lam))
-            if lam[worst] < -1e-7:
-                working.discard(idx[worst])
-                continue
+    p, n, _ = AS.shape
+    m = AL.shape[1]
+    X, lam, Z, t = np.eye(n), np.ones(m), np.eye(n), np.ones(m)
+    y = np.zeros(p)
+    scale_p, scale_d = 1.0 + np.linalg.norm(h), 1.0 + np.linalg.norm(CL)
+    best, best_error, best_it = (lam, y), np.inf, 0
+    for it in range(1, 51):
+        rp = h - np.einsum("kij,ij->k", AS, X) - AL @ lam
+        RS = -np.einsum("k,kij->ij", y, AS) - Z
+        RL = CL - AL.T @ y - t
+        pobj, dobj = CL @ lam, h @ y
+        error = max(
+            np.linalg.norm(rp) / scale_p,
+            np.sqrt(np.sum(RS * RS) + RL @ RL) / scale_d,
+            abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
+        )
+        if error < best_error:
+            best, best_error, best_it = (lam, y), error, it
+        if error <= 1e-10 or (best_error <= 1e-8 and it - best_it >= 8):
             break
-        tangent /= tnorm
-        cand = restore(theta + trust * tangent, working)
-        cand_slack = float(slacks(cand).max())
-        cand_ratio = float(cand[-2] + cand[-1])
-        if cand_ratio > ratio and cand_slack <= 0.5 * feas_tol:
-            theta, ratio = cand, cand_ratio
-            trust *= 1.4
-        else:
-            trust *= 0.5
-            if trust < 1e-10:
-                break
-    return restore(theta, working)
+        mu = (np.sum(X * Z) + lam @ t) / (n + m)
+        try:
+            Zi = np.linalg.inv(Z)
+            M = np.einsum("jab,kba->jk", AS, X @ AS @ Zi) + (AL * (lam / t)) @ AL.T
+            base = rp + np.einsum("kij,ij->k", AS, X @ RS @ Zi) + AL @ (lam * RL / t)
+
+            def direction(RcS, RcL):
+                rhs = base - np.einsum("kij,ij->k", AS, RcS @ Zi) - AL @ (RcL / t)
+                dy = np.linalg.lstsq(M, rhs, rcond=None)[0]
+                dZ = RS - np.einsum("k,kij->ij", dy, AS)
+                dt = RL - AL.T @ dy
+                dX = (RcS - X @ dZ) @ Zi
+                return (dX + dX.T) / 2, (RcL - lam * dt) / t, dy, dZ, dt
+
+            # predictor (affine scaling), then Mehrotra's centering and correction
+            dX, dlam, dy, dZ, dt = direction(-X @ Z, -lam * t)
+            ap = min(1.0, _step_to_boundary(X, dX, lam, dlam))
+            ad = min(1.0, _step_to_boundary(Z, dZ, t, dt))
+            mu_aff = (np.sum((X + ap * dX) * (Z + ad * dZ)) + (lam + ap * dlam) @ (t + ad * dt)) / (n + m)
+            sigma = min(1.0, (mu_aff / mu) ** 3)
+            dX, dlam, dy, dZ, dt = direction(
+                sigma * mu * np.eye(n) - X @ Z - dX @ dZ, sigma * mu - lam * t - dlam * dt
+            )
+            ap = min(1.0, 0.98 * _step_to_boundary(X, dX, lam, dlam))
+            ad = min(1.0, 0.98 * _step_to_boundary(Z, dZ, t, dt))
+            # backtrack until no complementary pair falls below a fraction of
+            # their mean: a pair that runs ahead to the boundary stalls the
+            # later steps (a wide-neighborhood safeguard)
+            for _ in range(40):
+                Xn, lamn, Zn, tn = X + ap * dX, lam + ap * dlam, Z + ad * dZ, t + ad * dt
+                Lx = np.linalg.cholesky(Xn)
+                smallest = min(np.linalg.eigvalsh(Lx.T @ Zn @ Lx)[0], np.min(lamn * tn))
+                if smallest >= 1e-3 * (np.sum(Xn * Zn) + lamn @ tn) / (n + m):
+                    break
+                ap, ad = 0.8 * ap, 0.8 * ad
+        except np.linalg.LinAlgError:
+            break
+        X, lam = X + ap * dX, lam + ap * dlam
+        y, Z, t = y + ad * dy, Z + ad * dZ, t + ad * dt
+    return (*best, it)
 
 
-def search_worst_case(
-    params: SearchParams,
-    restarts: int = 64,
-    budget: int = 120,
-    seed: int = 0,
-    warm_starts: Sequence[SearchInstance] = (),
-) -> SearchResult:
-    """Best feasible gap ratio found over `restarts` penalty ascents.
+def solve_one_step(params: SearchParams) -> SdpSolution:
+    """The exact worst case of the constraint set, from one SDP solve.
 
-    Restart r draws its start from a child seed of `seed` indexed by r,
-    so results are reproducible and independent of scheduling. A quarter
-    of the restarts run at ranks 1 and 2 (worst cases of one-step
-    problems are often low-dimensional). Warm starts join the batch as
-    extra rows. Raises if no restart reaches feasibility, and raises if a
-    feasible ratio exceeds the analytic rate beyond tolerance (that would
-    mean the constraint encoding and the certificates disagree).
+    The PSD block covers only the vector symbols some constraint touches:
+    x1 enters none, and an untouched symbol would leave the certificate
+    side without an interior point. The scalars are reduced to the row
+    space of their coefficients, because the direction (1, 1, -1) of
+    (f1, f2, h2) enters no constraint and not the objective and would
+    make the Newton system singular. Raises VerificationError if the two
+    bounds differ by more than DUALITY_GAP_TOL.
     """
     p = params
-    problem = _PenaltyProblem(p)
-    R = int(restarts)
-    if R < 1:
-        raise DomainError("restarts must be positive")
+    exprs = [build_constraint(name, p.L, p.mu, p.gamma) for name in p.constraint_names]
+    Qs = np.stack([e.Q for e in exprs])
+    cs = np.stack([e.c for e in exprs])
+    touched = np.flatnonzero(np.abs(Qs).sum(axis=(0, 2)) > 0)
+    Q = Qs[:, touched][:, :, touched]
+    Q_scale = np.abs(Q).max()  # the solver's Gram variable is Q_scale * Gram
+    n = len(touched)
 
-    seeds = np.random.SeedSequence(seed).spawn(R)
-    thetas = np.empty((R, problem.dim))
-    ranks = np.empty(R, dtype=int)
-    for r in range(R):
-        gen = np.random.Generator(np.random.PCG64(seeds[r]))
-        # low-rank restarts: r=1,2 for a quarter of the batch each
-        if r % 4 == 2:
-            ranks[r] = 1
-        elif r % 4 == 3:
-            ranks[r] = 2
-        else:
-            ranks[r] = p.rank
-        scale = 0.5 * np.sqrt(p.L) * float(np.exp(gen.uniform(-2.0, 0.7)))
-        V = gen.normal(0.0, scale, size=(_NV, p.rank))
-        V[:, ranks[r] :] = 0.0
-        f1 = gen.uniform(0.0, 1.0)
-        f2 = gen.uniform(0.0, 1.0)
-        h2 = gen.uniform(-0.2, 0.2)
-        thetas[r] = np.concatenate([V.ravel(), [f1, f2, h2]])
+    # <Q_i, G> + a_i.(f1, f2, h2) <= b_i, with h1 = 1 - f1 and F* = 0
+    a = np.stack([cs[:, 0] - cs[:, 2], cs[:, 1], cs[:, 3]], axis=1)
+    b = -(np.stack([e.k for e in exprs]) + cs[:, 2])
+    objective = np.array([0.0, 1.0, 1.0])
+    _, sv, vt = np.linalg.svd(np.vstack([a, objective]))
+    U = vt[: int(np.sum(sv > 1e-12 * sv[0]))].T  # orthonormal basis of the row space
 
-    warm_rows = []
-    for inst in warm_starts:
-        V = np.zeros((_NV, p.rank))
-        k = min(p.rank, inst.V.shape[1])
-        V[:, :k] = inst.V[:, :k]
-        warm_rows.append(np.concatenate([V.ravel(), [inst.f1, inst.f2, inst.h2]]))
-    if warm_rows:
-        thetas = np.vstack([thetas, np.array(warm_rows)])
-        ranks = np.concatenate([ranks, np.full(len(warm_rows), p.rank, dtype=int)])
+    # y = (scaled Gram entries in an orthonormal basis E of the symmetric
+    # matrices, U-coordinates of the scalars); the dual slack is the Gram
+    # block and the constraint slacks, the primal the certificate
+    rows, cols = np.triu_indices(n)
+    k = np.arange(len(rows))
+    E = np.zeros((len(rows), n, n))
+    E[k, rows, cols] = E[k, cols, rows] = np.where(rows == cols, 1.0, np.sqrt(0.5))
+    AS = np.concatenate([-E, np.zeros((U.shape[1], n, n))])
+    AL = np.concatenate([np.einsum("mij,kij->km", Q / Q_scale, E), (a @ U).T])
+    h = np.concatenate([np.zeros(len(k)), U.T @ objective])
 
-    active = np.ones_like(thetas)
-    for r, rk in enumerate(ranks):
-        mask = np.zeros((_NV, p.rank))
-        mask[:, :rk] = 1.0
-        active[r, : _NV * p.rank] = mask.ravel()
+    lam, y, iterations = _interior_point(AS, AL, b, h)
 
-    weight = 1e2
-    while True:
-        thetas, values = _ascend(problem, thetas, weight, active, budget)
-        if weight >= 1e8:
-            break
-        weight *= 10.0
-
-    # refine every restart on the active-constraint manifold
-    for r in range(thetas.shape[0]):
-        thetas[r] = _polish(problem, thetas[r], active[r], p.feasibility_tol)
-
-    slacks = problem.slacks(thetas)
-    max_slack = slacks.max(axis=1)
-    ratios = thetas[:, -2] + thetas[:, -1]
-    feasible = max_slack <= p.feasibility_tol
-    analytic = rate_formula(p.fn_class, p.ineq, p.L, p.mu, p.gamma).rho
-
-    if not feasible.any():
+    gram = np.einsum("k,kij->ij", y[: len(k)], E) / Q_scale
+    w, vecs = np.linalg.eigh(gram)
+    V = np.zeros((len(VECTOR_SYMBOLS), n))
+    V[touched] = vecs * np.sqrt(np.maximum(w, 0.0))
+    f1, f2, h2 = (float(v) for v in U @ y[len(k) :])
+    instance = SearchInstance(p, V, f1, f2, 1.0 - f1, h2)
+    solution = SdpSolution(instance, float(b @ lam), dict(zip(p.constraint_names, map(float, lam))), iterations)
+    if not abs(solution.duality_gap) <= DUALITY_GAP_TOL:
         raise VerificationError(
-            f"no feasible instance found for {p.fn_class}/{p.ineq} at gamma={p.gamma!r} "
-            f"(min max-slack {float(max_slack.min()):.3e}, tol {p.feasibility_tol:.1e})"
+            f"one-step SDP for {p.fn_class}/{p.ineq} at gamma={p.gamma!r} did not converge: "
+            f"bounds {solution.lower!r} and {solution.upper!r} after {iterations} iterations"
         )
-    masked = np.where(feasible, ratios, -np.inf)
-    best = int(np.argmax(masked))
-    V, f1, f2, h2 = problem.unpack(thetas[best : best + 1])
-    instance = SearchInstance(p, V[0].copy(), float(f1[0]), float(f2[0]), float(1.0 - f1[0]), float(h2[0]))
-    best_ratio = float(ratios[best])
+    return solution
 
+
+def search_worst_case(params: SearchParams, restarts=None, budget=None, seed=None) -> SearchResult:
+    """The worst-case gap ratio of the constraint set, from `solve_one_step`.
+
+    `restarts`, `budget` and `seed` are accepted and not read: they
+    belong to the multistart search this solve replaced, and callers
+    still pass them. The solve is deterministic and `restarts_used` is 1.
+    Raises if the instance is infeasible beyond `params.feasibility_tol`,
+    and raises if its ratio exceeds the analytic rate beyond tolerance
+    (that would mean the constraint encoding and the certificates
+    disagree).
+    """
+    p = params
+    instance = solve_one_step(p).instance
+    max_slack = max(instance.slacks().values())
+    if not max_slack <= p.feasibility_tol:
+        raise VerificationError(
+            f"worst-case instance for {p.fn_class}/{p.ineq} at gamma={p.gamma!r} is infeasible "
+            f"(max slack {max_slack:.3e}, tol {p.feasibility_tol:.1e})"
+        )
+    analytic = rate_formula(p.fn_class, p.ineq, p.L, p.mu, p.gamma).rho
+    best_ratio = instance.ratio
     if best_ratio > analytic + SOUNDNESS_SLACK:
         raise VerificationError(
             f"searched ratio {best_ratio!r} exceeds analytic rate {analytic!r} "
@@ -356,8 +295,8 @@ def search_worst_case(
         instance=instance,
         analytic_rate=analytic,
         gap=analytic - best_ratio,
-        restarts_used=int(thetas.shape[0]),
-        max_slack=float(max_slack[best]),
+        restarts_used=1,
+        max_slack=max_slack,
     )
 
 
@@ -370,38 +309,16 @@ class TightnessRow:
     restarts_used: int
 
 
-def tightness_curve(
-    fn_class: str,
-    ineq: str,
-    L: float,
-    mu: float,
-    gamma_grid: Sequence[float],
-    restarts: int = 64,
-    budget: int = 120,
-    seed: int = 0,
-    rank: int = _NV,
-    feasibility_tol: float = 1e-8,
-) -> list[TightnessRow]:
-    """Search along a gamma grid, warm-starting each point from the last.
+def tightness_curve(fn_class: str, ineq: str, L: float, mu: float, gamma_grid: Sequence[float]) -> list[TightnessRow]:
+    """Search at every point of a gamma grid.
 
     Gaps above the reporting tolerance are findings, not failures; only
     soundness violations raise.
     """
     rows = []
-    last: Optional[SearchInstance] = None
-    for i, g in enumerate(np.asarray(gamma_grid, dtype=float)):
-        params = SearchParams(fn_class, ineq, L, mu, float(g), rank=rank, feasibility_tol=feasibility_tol)
-        result = search_worst_case(
-            params,
-            restarts=restarts,
-            budget=budget,
-            seed=seed + i,
-            warm_starts=[last] if last is not None else (),
-        )
-        last = result.instance
-        rows.append(
-            TightnessRow(float(g), result.analytic_rate, result.best_ratio, result.gap, result.restarts_used)
-        )
+    for g in np.asarray(gamma_grid, dtype=float):
+        result = search_worst_case(SearchParams(fn_class, ineq, L, mu, float(g)))
+        rows.append(TightnessRow(float(g), result.analytic_rate, result.best_ratio, result.gap, result.restarts_used))
     return rows
 
 

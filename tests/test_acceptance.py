@@ -182,9 +182,9 @@ def test_criterion5_search_tightness():
     findings = []
     max_gap = -np.inf
     for fn_class, ineq in (("convex", "pl"), ("convex", "rpl")):
-        for i, g in enumerate(grid):
+        for g in grid:
             params = SearchParams(fn_class, ineq, L, mu, float(g))
-            res = search_worst_case(params, restarts=12, budget=90, seed=2024 + i)
+            res = search_worst_case(params)
             # soundness is the hard invariant; search_worst_case raises on
             # violation, re-checked here for the report
             assert res.best_ratio <= res.analytic_rate + 1e-6

@@ -234,6 +234,26 @@ class TestVerification:
             chk = cm.verify_certificate(cert, L, mu, grid, exact=True)
             assert chk.ok and chk.identity_residual == 0.0
 
+    def test_exact_remainder_coefficient_is_nonpositive_fraction(self, rng):
+        for cert in cm.certificate_catalog():
+            L = float(np.exp(rng.uniform(-1, 1)))
+            mu = L * float(rng.uniform(0.1, 0.9))
+            for g in cm.interval_grid(cert, L, 5):
+                chk = cm.verify_certificate(cert, L, mu, float(g), exact=True)
+                assert chk.ok, (cert.case_id, g, chk.failures)
+                assert type(chk.remainder_coefficient) is Fraction, cert.case_id
+                assert chk.remainder_coefficient <= 0, cert.case_id
+
+    def test_exact_mode_decides_the_remainder_sign_exactly(self):
+        # one ulp past the closed endpoint 1.5/L the coefficient
+        # (2L*gamma - 3)/... is positive; only float tolerances accept it
+        cert = cm.certificate_for("Thm3.2-case1")
+        g = float(np.nextafter(1.5, 2.0))
+        assert cm.verify_certificate(cert, 1.0, 0.1, g).ok
+        chk = cm.verify_certificate(cert, 1.0, 0.1, g, exact=True)
+        assert chk.remainder_coefficient > 0
+        assert any("remainder coefficient positive" in f for f in chk.failures)
+
     def test_exact_mode_catches_tampering(self):
         cert = cm.certificate_for("Thm4.1")
         bad = cm.Certificate(

@@ -158,7 +158,7 @@ class TestPepSearchCommand:
     def test_point_output(self, capsys):
         code, out, _ = run_cli(
             ["pep-search", "--fn-class", "convex", "--ineq", "pl", "--L", "1", "--mu", "0.1",
-             "--gamma", "1", "--restarts", "6", "--budget", "50", "--seed", "0"],
+             "--gamma", "1"],
             capsys,
         )
         assert code == 0
@@ -219,6 +219,11 @@ class TestDeterminismAndFuzz:
              "--seed", "1"],
             ["optimal-step", "--fn-class", "convex", "--ineq", "pl", "--L", "1", "--mu", "0.1", "--seed", "1"],
             ["certify", "--L", "1", "--mu", "0.1", "--seed", "1"],
+            *(
+                ["pep-search", "--fn-class", "convex", "--ineq", "pl", "--L", "1", "--mu", "0.1", "--gamma", "1",
+                 flag, "6"]
+                for flag in ("--restarts", "--budget", "--seed")
+            ),
         ],
     )
     def test_removed_flags_are_usage_errors(self, argv, capsys):

@@ -4,8 +4,10 @@ import pytest
 from proxrate.errors import DomainError
 from proxrate.pepsearch import (
     CONSTRAINT_SETS,
+    DUALITY_GAP_TOL,
     SearchParams,
     search_worst_case,
+    solve_one_step,
     tightness_curve,
     write_tightness_csv,
 )
@@ -21,10 +23,6 @@ class TestParams:
         with pytest.raises(DomainError):
             SearchParams("convex", "kl", 1.0, 0.1, 1.0)
 
-    def test_rank_domain(self):
-        with pytest.raises(DomainError):
-            SearchParams("convex", "pl", 1.0, 0.1, 1.0, rank=9)
-
     def test_constraint_sets_cover_all_pairs(self):
         assert set(CONSTRAINT_SETS) == {
             ("convex", "pl"),
@@ -37,7 +35,7 @@ class TestParams:
 class TestSearch:
     def test_convex_pl_reaches_analytic_rate(self):
         params = SearchParams("convex", "pl", 1.0, 0.1, 1.0)
-        res = search_worst_case(params, restarts=12, budget=90, seed=0)
+        res = search_worst_case(params)
         assert res.best_ratio == pytest.approx(1.0 / 1.2, abs=1e-4)
         assert res.max_slack <= params.feasibility_tol
         assert res.instance.feasible
@@ -46,7 +44,7 @@ class TestSearch:
         # far outside the mu <= L contract of `rate`, the raw branch
         # formula is still the sound comparison value
         params = SearchParams("convex", "pl", 1.0, 10.0, 1.0)
-        res = search_worst_case(params, restarts=12, budget=90, seed=0)
+        res = search_worst_case(params)
         target = rate_formula("convex", "pl", 1.0, 10.0, 1.0).rho
         assert res.best_ratio <= target + 1e-6
         assert res.best_ratio == pytest.approx(target, abs=5e-3)
@@ -54,38 +52,73 @@ class TestSearch:
     def test_soundness_never_exceeds_rate(self):
         for fn_class, ineq in CONSTRAINT_SETS:
             params = SearchParams(fn_class, ineq, 1.0, 0.1, 0.9)
-            res = search_worst_case(params, restarts=8, budget=60, seed=3)
+            res = search_worst_case(params)
             assert res.best_ratio <= res.analytic_rate + 1e-6
 
     def test_reproducible_given_seed(self):
+        # the solve draws nothing at random: repeated calls agree bit for bit
         params = SearchParams("convex", "rpl", 1.0, 0.1, 1.2)
-        a = search_worst_case(params, restarts=6, budget=50, seed=11)
-        b = search_worst_case(params, restarts=6, budget=50, seed=11)
-        c = search_worst_case(params, restarts=6, budget=50, seed=12)
-        assert a.best_ratio == b.best_ratio
-        assert a.best_ratio != c.best_ratio or a.instance.f1 != c.instance.f1
+        a, b = search_worst_case(params), search_worst_case(params)
+        assert a.best_ratio == b.best_ratio and a.restarts_used == 1
+        assert np.array_equal(a.instance.V, b.instance.V)
+        assert (a.instance.f1, a.instance.f2, a.instance.h2) == (b.instance.f1, b.instance.f2, b.instance.h2)
 
     def test_instance_slacks_match_reported(self):
         params = SearchParams("nonconvex", "pl", 1.0, 0.1, 1.0)
-        res = search_worst_case(params, restarts=8, budget=60, seed=0)
+        res = search_worst_case(params)
         slacks = res.instance.slacks()
         assert set(slacks) == set(params.constraint_names)
         assert max(slacks.values()) == pytest.approx(res.max_slack, abs=1e-12)
 
-    def test_restarts_must_be_positive(self):
-        with pytest.raises(DomainError):
-            search_worst_case(SearchParams("convex", "pl", 1.0, 0.1, 1.0), restarts=0)
+
+class TestExactSolve:
+    @pytest.mark.parametrize("L, mu", [(1.0, 0.1), (4.0, 1.5)])
+    def test_matches_closed_forms(self, L, mu):
+        # the criterion-5 grid; convex/rpl on (0, 1/L] is the one place
+        # where the constraint set's worst case lies below the closed form
+        for fn_class, ineq in CONSTRAINT_SETS:
+            for g in np.linspace(0.04, 1.96, 25) / L:
+                if (fn_class, ineq) == ("convex", "rpl") and g <= 1.0 / L:
+                    continue
+                res = search_worst_case(SearchParams(fn_class, ineq, L, mu, float(g)))
+                assert abs(res.gap) <= 1e-8, (fn_class, ineq, g, res.gap)
+                assert not res.instance.V[0].any()  # x1 enters no constraint
+
+    def test_convex_rpl_small_step_gap(self):
+        params = SearchParams("convex", "rpl", 1.0, 0.1, 0.6)
+        res = search_worst_case(params)
+        assert res.best_ratio == pytest.approx(0.8866639, abs=1e-7)
+        assert res.gap == pytest.approx(1.2858e-4, abs=1e-7)
+        lam = solve_one_step(params).multipliers
+        assert lam["B12"] == pytest.approx(0.9456, abs=1e-4)
+        assert lam["C12"] == pytest.approx(lam["B12"], abs=1e-8)
+        assert lam["E1"] == pytest.approx(0.0589, abs=1e-4)
+        assert lam["E2"] == pytest.approx(0.0544, abs=1e-4)
+        assert lam["B21"] == pytest.approx(0.0, abs=1e-6)
+
+    def test_random_parameters_sound_and_converged(self):
+        gen = np.random.default_rng(7)
+        for fn_class, ineq in CONSTRAINT_SETS:
+            for _ in range(100):
+                L = float(np.exp(gen.uniform(-2.0, 3.0)))
+                mu = L * float(gen.uniform(0.005, 0.995))
+                g = float(gen.uniform(0.005, 1.995)) / L
+                sol = solve_one_step(SearchParams(fn_class, ineq, L, mu, g))
+                case = (fn_class, ineq, L, mu, g)
+                assert sol.instance.feasible, case
+                assert sol.lower <= rate_formula(fn_class, ineq, L, mu, g).rho + 1e-6, case
+                assert abs(sol.duality_gap) <= DUALITY_GAP_TOL, case
 
 
 class TestTightnessCurve:
     def test_single_point_grid(self):
-        rows = tightness_curve("convex", "pl", 1.0, 0.1, [1.0], restarts=8, budget=60, seed=0)
+        rows = tightness_curve("convex", "pl", 1.0, 0.1, [1.0])
         assert len(rows) == 1
         assert rows[0].gap >= -1e-6
 
-    def test_warm_started_grid_and_csv(self, tmp_path):
+    def test_grid_and_csv(self, tmp_path):
         grid = np.linspace(0.3, 1.7, 5)
-        rows = tightness_curve("convex", "rpl", 1.0, 0.1, grid, restarts=8, budget=60, seed=0)
+        rows = tightness_curve("convex", "rpl", 1.0, 0.1, grid)
         assert len(rows) == 5
         assert max(r.gap for r in rows) <= 5e-3
         path = tmp_path / "curve.csv"
