@@ -12,7 +12,7 @@ remainder; verification checks, per gamma,
 
 multiplier nonnegativity, and nonpositivity of the remainder form.
 Coefficient formulas are rational in (L, mu, gamma), so an exact mode
-re-runs the identity in Fraction arithmetic at rational parameter values.
+runs the same checks in Fraction arithmetic at rational parameter values.
 """
 from __future__ import annotations
 
@@ -329,6 +329,34 @@ def _interval(lo_fn, hi_fn, lo_closed, hi_closed):
 _SQRT3 = math.sqrt(3.0)
 
 
+def _large_step_weights(L, m, g):
+    return {"g1": L * g - 1, "s2": L * g, "g2": 1}
+
+
+def _large_step(case_id, fn_class, ineq, names, remainder_coeff, lo, check_kind) -> Certificate:
+    """The step-size proof shared by the cases on (lo/L, 2/L): the same
+    multipliers on a smoothness pair, C12 and the modulus constraint
+    (`names`, in that order), the same rate and the same remainder
+    square; only its coefficient differs."""
+    a1, a2, b1, l1 = names
+    return Certificate(
+        case_id=case_id,
+        fn_class=fn_class,
+        ineq=ineq,
+        multipliers=(
+            (a1, "alpha1", lambda L, m, g: (L * g - 1) / _den_large(L, m, g)),
+            (a2, "alpha2", lambda L, m, g: (-(L**2) * g**2 + 3 * L * g - 2) / _den_large(L, m, g)),
+            (b1, "beta1", lambda L, m, g: (L * g - 1) ** 2 / _den_large(L, m, g)),
+            (l1, "lambda1", lambda L, m, g: (-L * g**2 * m + 2 * g * m) / _den_large(L, m, g)),
+        ),
+        rate=lambda L, m, g: (L * g - 1) ** 2 / _den_large(L, m, g),
+        remainder_coeff=remainder_coeff,
+        remainder_weights=_large_step_weights,
+        interval=_interval(lambda L: lo / L, lambda L: 2.0 / L, False, False),
+        check_kind=check_kind,
+    )
+
+
 def certificate_catalog() -> list[Certificate]:
     """All eight theorem-case certificates, in theorem order."""
     cat = []
@@ -353,21 +381,10 @@ def certificate_catalog() -> list[Certificate]:
     )
 
     cat.append(
-        Certificate(
-            case_id="Thm3.1-case2",
-            fn_class="nonconvex",
-            ineq="pl",
-            multipliers=(
-                ("A12", "alpha1", lambda L, m, g: (L * g - 1) / _den_large(L, m, g)),
-                ("A21", "alpha2", lambda L, m, g: (-(L**2) * g**2 + 3 * L * g - 2) / _den_large(L, m, g)),
-                ("C12", "beta1", lambda L, m, g: (L * g - 1) ** 2 / _den_large(L, m, g)),
-                ("D2", "lambda1", lambda L, m, g: (-L * g**2 * m + 2 * g * m) / _den_large(L, m, g)),
-            ),
-            rate=lambda L, m, g: (L * g - 1) ** 2 / _den_large(L, m, g),
-            remainder_coeff=lambda L, m, g: (3 - L**2 * g**2) / (4 * L * _den_large(L, m, g)),
-            remainder_weights=lambda L, m, g: {"g1": L * g - 1, "s2": L * g, "g2": 1},
-            interval=_interval(lambda L: _SQRT3 / L, lambda L: 2.0 / L, False, False),
-            check_kind="equality",
+        _large_step(
+            "Thm3.1-case2", "nonconvex", "pl", ("A12", "A21", "C12", "D2"),
+            lambda L, m, g: (3 - L**2 * g**2) / (4 * L * _den_large(L, m, g)),
+            _SQRT3, "equality",
         )
     )
 
@@ -391,21 +408,10 @@ def certificate_catalog() -> list[Certificate]:
     )
 
     cat.append(
-        Certificate(
-            case_id="Thm3.2-case2",
-            fn_class="convex",
-            ineq="pl",
-            multipliers=(
-                ("B12", "alpha1", lambda L, m, g: (L * g - 1) / _den_large(L, m, g)),
-                ("B21", "alpha2", lambda L, m, g: (-(L**2) * g**2 + 3 * L * g - 2) / _den_large(L, m, g)),
-                ("C12", "beta1", lambda L, m, g: (L * g - 1) ** 2 / _den_large(L, m, g)),
-                ("D2", "lambda1", lambda L, m, g: (-L * g**2 * m + 2 * g * m) / _den_large(L, m, g)),
-            ),
-            rate=lambda L, m, g: (L * g - 1) ** 2 / _den_large(L, m, g),
-            remainder_coeff=lambda L, m, g: (3 - 2 * L * g) / (2 * L * _den_large(L, m, g)),
-            remainder_weights=lambda L, m, g: {"g1": L * g - 1, "s2": L * g, "g2": 1},
-            interval=_interval(lambda L: 1.5 / L, lambda L: 2.0 / L, False, False),
-            check_kind="equality",
+        _large_step(
+            "Thm3.2-case2", "convex", "pl", ("B12", "B21", "C12", "D2"),
+            lambda L, m, g: (3 - 2 * L * g) / (2 * L * _den_large(L, m, g)),
+            1.5, "equality",
         )
     )
 
@@ -421,7 +427,7 @@ def certificate_catalog() -> list[Certificate]:
             ),
             rate=lambda L, m, g: (L + m * (L * g - 1) ** 2 - m) / L,
             remainder_coeff=lambda L, m, g: -1 / (4 * L),
-            remainder_weights=lambda L, m, g: {"g1": L * g - 1, "s2": L * g, "g2": 1},
+            remainder_weights=_large_step_weights,
             interval=_interval(lambda L: 0.0, lambda L: 2.0 / L, False, False),
             check_kind="equality",
         )
@@ -467,21 +473,10 @@ def certificate_catalog() -> list[Certificate]:
     )
 
     cat.append(
-        Certificate(
-            case_id="Thm4.2-case3",
-            fn_class="convex",
-            ineq="rpl",
-            multipliers=(
-                ("B12", "alpha1", lambda L, m, g: (L * g - 1) / _den_large(L, m, g)),
-                ("B21", "alpha2", lambda L, m, g: (-(L**2) * g**2 + 3 * L * g - 2) / _den_large(L, m, g)),
-                ("C12", "beta1", lambda L, m, g: (L * g - 1) ** 2 / _den_large(L, m, g)),
-                ("E2", "lambda1", lambda L, m, g: (-L * g**2 * m + 2 * g * m) / _den_large(L, m, g)),
-            ),
-            rate=lambda L, m, g: (L * g - 1) ** 2 / _den_large(L, m, g),
-            remainder_coeff=lambda L, m, g: (3 - 2 * L * g) / (2 * L * _den_large(L, m, g)),
-            remainder_weights=lambda L, m, g: {"g1": L * g - 1, "s2": L * g, "g2": 1},
-            interval=_interval(lambda L: 1.5 / L, lambda L: 2.0 / L, False, False),
-            check_kind="inequality-chain",
+        _large_step(
+            "Thm4.2-case3", "convex", "rpl", ("B12", "B21", "C12", "E2"),
+            lambda L, m, g: (3 - 2 * L * g) / (2 * L * _den_large(L, m, g)),
+            1.5, "inequality-chain",
         )
     )
 
@@ -512,7 +507,7 @@ class CertificateCheck:
     multipliers: dict
     min_multiplier: float
     identity_residual: float  # relative to the largest term in the sum
-    remainder_coefficient: Optional[np.ndarray]
+    remainder_coefficient: object  # per gamma (a number on one point); Fraction in exact mode
     remainder_max_eigenvalue: float
     failures: list = field(default_factory=list)
 
@@ -521,30 +516,18 @@ class CertificateCheck:
         return not self.failures
 
 
-def _on_grid(value, shape):
-    """A formula's value (scalar or per gamma) as floats on the grid shape."""
-    return np.array(np.broadcast_to(np.asarray(value, dtype=float), shape))
-
-
-def verify_certificate(
-    cert: Certificate,
-    L,
-    mu,
-    gamma,
-    identity_tol: float = IDENTITY_TOL,
-    multiplier_tol: float = MULTIPLIER_TOL,
-    eigenvalue_tol: float = EIGENVALUE_TOL,
-    exact: bool = False,
-) -> CertificateCheck:
+def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> CertificateCheck:
     """Check one certificate at (L, mu) over a gamma point or grid.
 
-    In exact mode the parameters are converted to Fractions (binary
-    floats are exact rationals), the identity must vanish identically and
-    the remainder coefficient, reported as a Fraction, must be <= 0;
-    interval membership and multiplier signs are still decided in
-    floating point. A closed endpoint computed in floating point can lie
-    just outside the interval, where the exact coefficient is positive;
-    `interval_grid` keeps its points inside.
+    The parameters are converted once, to Fractions in exact mode (binary
+    floats are exact rationals) and to floats otherwise, and every check
+    is decided per gamma in that arithmetic: multipliers >= -tol, relative
+    identity residual <= tol, remainder coefficient <= tol and remainder
+    eigenvalue <= tol, with tol = 0 in exact mode and the module constants
+    in float mode. Each failure names the first failing gamma. Interval
+    membership is decided in floating point; a closed endpoint computed in
+    floating point can lie just outside the interval, where exact mode
+    sees the certificate fail, and `interval_grid` keeps its points inside.
     """
     gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
     inside = cert.gamma_in_interval(L, gamma_arr)
@@ -553,68 +536,45 @@ def verify_certificate(
         raise DomainError(f"gamma {bad[0]!r} outside interval of {cert.case_id}")
 
     if exact:
-        Lx, mux = Fraction(float(L)), Fraction(float(mu))
-        gx = (
-            np.array([Fraction(float(g)) for g in gamma_arr], dtype=object)
-            if gamma_arr.size > 1
-            else Fraction(float(gamma_arr[0]))
-        )
+        num, dtype, mult_tol, identity_tol, eig_tol = Fraction, object, 0, 0, 0
     else:
-        Lx, mux = float(L), float(mu)
-        gx = gamma_arr if np.ndim(gamma) else float(gamma)
+        num, dtype, mult_tol, identity_tol, eig_tol = float, float, MULTIPLIER_TOL, IDENTITY_TOL, EIGENVALUE_TOL
+    Lx, mux = num(float(L)), num(float(mu))
+    gx = np.array([num(g) for g in gamma_arr], dtype=dtype) if np.ndim(gamma) else num(gamma_arr[0])
+
+    def per_gamma(value):
+        return np.broadcast_to(np.asarray(value, dtype=dtype), gamma_arr.shape)
 
     failures = []
 
-    mults = {}
-    min_mult = np.inf
-    for _cname, label, formula in cert.multipliers:
-        arr = _on_grid(formula(Lx, mux, gx), gamma_arr.shape)
-        mults[label] = arr if arr.size > 1 else float(arr[0])
-        min_mult = min(min_mult, float(arr.min()))
-    if min_mult < -multiplier_tol:
-        failures.append(f"negative multiplier {min_mult:.3e}")
+    def check(bad, message):
+        if bad.any():
+            failures.append(f"{message} at gamma={float(gamma_arr[bad.argmax()])!r}")
+
+    values = np.stack([per_gamma(formula(Lx, mux, gx)) for _cname, _label, formula in cert.multipliers])
+    mults = {
+        label: row.astype(float) if row.size > 1 else float(row[0])
+        for (_cname, label, _formula), row in zip(cert.multipliers, values)
+    }
+    min_mult = float(values.min())
+    check(values.min(0) < -mult_tol, f"negative multiplier {min_mult:.3e}")
 
     combo = cert.weighted_combination(Lx, mux, gx)
     remainder = cert.remainder_expression(Lx, mux, gx)
-    residual = combo - remainder
+    rel = (combo - remainder).max_abs()
+    if np.any(rel):  # relative to the largest term; a zero residual stays zero
+        rel = rel / np.maximum(np.maximum(combo.max_abs(), remainder.max_abs()), 1)
+    rel = per_gamma(rel)
+    rel_residual = float(rel.max())
+    check(rel > identity_tol, f"identity residual {rel_residual:.3e} exceeds {identity_tol:.1e}")
 
-    if exact:
-        exact_zero = (
-            all(v == 0 for v in np.atleast_1d(residual.Q).ravel())
-            and all(v == 0 for v in np.atleast_1d(residual.c).ravel())
-            and np.all(np.atleast_1d(residual.k) == 0)
-        )
-        rel_residual = 0.0 if exact_zero else np.inf
-        if not exact_zero:
-            failures.append("identity does not vanish in exact arithmetic")
-        # the remainder is coeff * ||v||^2, one explicit square (coeff 0
-        # when it is identically zero): it is nonpositive exactly when the
-        # Fraction coefficient is, and its largest eigenvalue is
-        # max(0, trace), so both are decided without rounding
-        coeff = Fraction(0) if cert.remainder_coeff is None else cert.remainder_coeff(Lx, mux, gx)
-        coeffs = np.broadcast_to(np.asarray(coeff, dtype=object), gamma_arr.shape).ravel()
-        if any(c > 0 for c in coeffs):
-            failures.append(f"remainder coefficient positive: {float(max(coeffs)):.3e}")
-        rem_coeff = coeffs[0] if coeffs.size == 1 else coeffs.reshape(gamma_arr.shape)
-        max_eig = float(max(0, *np.atleast_1d(np.trace(remainder.Q, axis1=-2, axis2=-1))))
-    else:
-        scale = np.maximum(combo.max_abs(), remainder.max_abs())
-        rel_residual = float(np.max(residual.max_abs() / np.maximum(scale, 1.0)))
-        if rel_residual > identity_tol:
-            failures.append(f"identity residual {rel_residual:.3e} exceeds {identity_tol:.1e}")
-        # remainder nonpositivity: eigenvalue check of the quadratic form,
-        # plus the scalar coefficient where the form is an explicit square
-        rem_Q = np.asarray(remainder.Q, dtype=float)
-        max_eig = float(np.linalg.eigvalsh(rem_Q[None] if rem_Q.ndim == 2 else rem_Q).max())
-        if max_eig > eigenvalue_tol:
-            failures.append(f"remainder not negative semidefinite: max eig {max_eig:.3e}")
-        rem_coeff = None
-        if cert.remainder_coeff is not None:
-            rem_coeff = _on_grid(cert.remainder_coeff(float(L), float(mu), gamma_arr), gamma_arr.shape)
-            if float(rem_coeff.max()) > eigenvalue_tol:
-                failures.append(f"remainder coefficient positive: {float(rem_coeff.max()):.3e}")
-            if rem_coeff.size == 1:
-                rem_coeff = float(rem_coeff[0])
+    coeff = per_gamma(num(0) if cert.remainder_coeff is None else cert.remainder_coeff(Lx, mux, gx))
+    check(coeff > eig_tol, f"remainder coefficient positive: {float(coeff.max()):.3e}")
+    # the remainder is coeff * w w^T, one explicit square: its eigenvalues
+    # are 0 and trace = coeff * ||w||^2
+    trace = per_gamma(np.trace(remainder.Q, axis1=-2, axis2=-1))
+    max_eig = float(max(0, trace.max()))
+    check(trace > eig_tol, f"remainder not negative semidefinite: max eig {max_eig:.3e}")
 
     return CertificateCheck(
         case_id=cert.case_id,
@@ -623,7 +583,7 @@ def verify_certificate(
         multipliers=mults,
         min_multiplier=min_mult,
         identity_residual=rel_residual,
-        remainder_coefficient=rem_coeff,
+        remainder_coefficient=num(coeff[0]) if coeff.size == 1 else np.array(coeff),
         remainder_max_eigenvalue=max_eig,
         failures=failures,
     )
@@ -638,27 +598,15 @@ class SweepSummary:
     max_remainder_eigenvalue: float
 
 
-def sweep_verify(case_id: str, L, mu, gamma_grid, **tols) -> SweepSummary:
-    """verify_certificate across a grid; raises on the first failing point."""
+def sweep_verify(case_id: str, L, mu, gamma_grid) -> SweepSummary:
+    """verify_certificate across a grid; raises naming the first failing point."""
     cert = certificate_for(case_id)
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.size == 0:
         return SweepSummary(case_id, 0, 0.0, np.inf, -np.inf)
-    inside = cert.gamma_in_interval(L, grid)
-    if not np.all(inside):
-        raise DomainError(
-            f"grid point {grid[~inside][0]!r} outside interval of {case_id}"
-        )
-    check = verify_certificate(cert, L, mu, grid, **tols)
+    check = verify_certificate(cert, L, mu, grid)
     if not check.ok:
-        # locate the offending gamma for the error message
-        per_point = [
-            verify_certificate(cert, L, mu, float(g), **tols) for g in grid
-        ]
-        for g, c in zip(grid, per_point):
-            if not c.ok:
-                raise VerificationError(f"{case_id} fails at gamma={g!r}: {c.failures}")
-        raise VerificationError(f"{case_id} fails on the grid: {check.failures}")
+        raise VerificationError(f"{case_id} fails: {'; '.join(check.failures)}")
     return SweepSummary(
         case_id=case_id,
         n_points=int(grid.size),

@@ -38,6 +38,7 @@ CONSTRAINT_SETS = {
 
 SOUNDNESS_SLACK = 1e-6
 DUALITY_GAP_TOL = 1e-8
+FEASIBILITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class SearchParams:
     L: float
     mu: float
     gamma: float
-    feasibility_tol: float = 1e-8
 
     def __post_init__(self):
         if (self.fn_class, self.ineq) not in CONSTRAINT_SETS:
@@ -94,7 +94,7 @@ class SearchInstance:
 
     @property
     def feasible(self) -> bool:
-        return max(self.slacks().values()) <= self.params.feasibility_tol
+        return max(self.slacks().values()) <= FEASIBILITY_TOL
 
 
 @dataclass
@@ -269,7 +269,7 @@ def search_worst_case(params: SearchParams, restarts=None, budget=None, seed=Non
     `restarts`, `budget` and `seed` are accepted and not read: they
     belong to the multistart search this solve replaced, and callers
     still pass them. The solve is deterministic and `restarts_used` is 1.
-    Raises if the instance is infeasible beyond `params.feasibility_tol`,
+    Raises if the instance is infeasible beyond FEASIBILITY_TOL,
     and raises if its ratio exceeds the analytic rate beyond tolerance
     (that would mean the constraint encoding and the certificates
     disagree).
@@ -277,10 +277,10 @@ def search_worst_case(params: SearchParams, restarts=None, budget=None, seed=Non
     p = params
     instance = solve_one_step(p).instance
     max_slack = max(instance.slacks().values())
-    if not max_slack <= p.feasibility_tol:
+    if not max_slack <= FEASIBILITY_TOL:
         raise VerificationError(
             f"worst-case instance for {p.fn_class}/{p.ineq} at gamma={p.gamma!r} is infeasible "
-            f"(max slack {max_slack:.3e}, tol {p.feasibility_tol:.1e})"
+            f"(max slack {max_slack:.3e}, tol {FEASIBILITY_TOL:.1e})"
         )
     analytic = rate_formula(p.fn_class, p.ineq, p.L, p.mu, p.gamma).rho
     best_ratio = instance.ratio

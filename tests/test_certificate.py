@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from proxrate import certificate as cm
-from proxrate.errors import DomainError
+from proxrate.errors import DomainError, VerificationError
 from proxrate.interp import (
     Triple,
     TriplePair,
@@ -254,6 +255,16 @@ class TestVerification:
         assert chk.remainder_coefficient > 0
         assert any("remainder coefficient positive" in f for f in chk.failures)
 
+    def test_exact_mode_decides_multiplier_signs_exactly(self):
+        # fl(1.5/1.1) lies just above 1.5/L, where E1's multiplier
+        # gamma*mu*(3 - 2L*gamma)/... is negative; only float tolerances accept it
+        cert = cm.certificate_for("Thm4.2-case2")
+        L, mu, g = 1.1, 0.11, 1.5 / 1.1
+        assert cm.verify_certificate(cert, L, mu, g).ok
+        chk = cm.verify_certificate(cert, L, mu, g, exact=True)
+        assert chk.min_multiplier < 0
+        assert any(f.startswith("negative multiplier") and repr(g) in f for f in chk.failures)
+
     def test_exact_mode_catches_tampering(self):
         cert = cm.certificate_for("Thm4.1")
         bad = cm.Certificate(
@@ -313,6 +324,21 @@ class TestSweep:
             cert = cm.certificate_for(case)
             s = cm.sweep_verify(case, 1.0, mu, cm.interval_grid(cert, 1.0, 200))
             assert s.worst_identity_residual <= 1e-11
+
+    def test_failure_names_the_first_failing_point(self, monkeypatch):
+        # Thm4.2-case2's identity holds past 1.5/L, where its E1 multiplier
+        # turns negative: widened to (1/L, 2/L) only the sign check fails
+        cert = cm.certificate_for("Thm4.2-case2")
+        widened = dataclasses.replace(cert, interval=lambda L: (1.0 / L, 2.0 / L, False, False))
+        monkeypatch.setitem(cm._CATALOG, cert.case_id, widened)
+        grid = np.linspace(1.05, 1.95, 10)
+        first_bad = float(grid[grid > 1.5][0])
+        with pytest.raises(VerificationError) as err:
+            cm.sweep_verify(cert.case_id, 1.0, 0.1, grid)
+        message = str(err.value)
+        assert "negative multiplier" in message
+        assert f"at gamma={first_bad!r}" in message
+        assert "identity residual" not in message
 
     def test_empty_grid(self):
         s = cm.sweep_verify("Thm3.2-case1", 1.0, 0.1, [])

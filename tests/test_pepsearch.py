@@ -5,6 +5,7 @@ from proxrate.errors import DomainError
 from proxrate.pepsearch import (
     CONSTRAINT_SETS,
     DUALITY_GAP_TOL,
+    FEASIBILITY_TOL,
     SearchParams,
     search_worst_case,
     solve_one_step,
@@ -37,7 +38,7 @@ class TestSearch:
         params = SearchParams("convex", "pl", 1.0, 0.1, 1.0)
         res = search_worst_case(params)
         assert res.best_ratio == pytest.approx(1.0 / 1.2, abs=1e-4)
-        assert res.max_slack <= params.feasibility_tol
+        assert res.max_slack <= FEASIBILITY_TOL
         assert res.instance.feasible
 
     def test_large_mu_formula_target(self):
