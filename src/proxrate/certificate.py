@@ -1,10 +1,13 @@
 """Mechanical verification of the one-step rate proofs in Gram space.
 
-Every proof is a weighted sum of pairwise constraints whose quadratic
-parts live over the vector symbols (x1 - xstar, g1, g2, s2); the second
-iterate never appears because x2 = x1 - gamma*(g1 + s2) is substituted
-once, and optimal-point gradients are eliminated by g* + s* = 0. Each
-constraint is one of the interp definitions evaluated on these symbols.
+Every proof is a weighted sum of pairwise constraints, and each
+constraint sees only differences of iterates and of function values. So
+the gauge is fixed once: x1 = 0, f(x1) = 0 and F* = 0. Quadratic parts
+then live over the vector symbols (g1, g2, s2) and linear parts over the
+scalar symbols (f2, h1, h2), with h1 = F(x1) - F*; the second iterate
+never appears because x2 = -gamma*(g1 + s2) is substituted once, and
+optimal-point gradients are eliminated by g* + s* = 0. Each constraint
+is one of the interp definitions evaluated on these symbols.
 A certificate stores the closed-form multipliers and the expected
 remainder; verification checks, per gamma,
 
@@ -29,8 +32,8 @@ import numpy as np
 from .errors import DomainError, VerificationError
 from .interp import convex_slack, pl_slack, rpl_slack, smooth_convex_slack, smooth_slack
 
-VECTOR_SYMBOLS = ("x1", "g1", "g2", "s2")
-SCALAR_SYMBOLS = ("f1", "f2", "h1", "h2", "Fstar")
+VECTOR_SYMBOLS = ("g1", "g2", "s2")
+SCALAR_SYMBOLS = ("f2", "h1", "h2")
 _NV = len(VECTOR_SYMBOLS)
 _NS = len(SCALAR_SYMBOLS)
 _VIDX = {s: i for i, s in enumerate(VECTOR_SYMBOLS)}
@@ -39,6 +42,7 @@ _SIDX = {s: i for i, s in enumerate(SCALAR_SYMBOLS)}
 IDENTITY_TOL = 1e-11
 MULTIPLIER_TOL = 1e-14
 EIGENVALUE_TOL = 1e-10
+GRID_MARGIN = 1e-6  # interval_grid's relative offset from an open endpoint
 
 
 def _is_exact(*values) -> bool:
@@ -61,39 +65,30 @@ def _zero_array(shape, exact):
 class GramExpression:
     """Quadratic-plus-linear expression over the fixed symbol bases.
 
-    Q is (..., 4, 4) symmetric over VECTOR_SYMBOLS, c is (..., 5) over
-    SCALAR_SYMBOLS, k a (...) constant. Arithmetic broadcasts, so one
-    expression can carry a whole gamma grid; dtype=object carries exact
-    Fractions through the same code paths.
+    Q is (..., 3, 3) symmetric over VECTOR_SYMBOLS and c is (..., 3) over
+    SCALAR_SYMBOLS. Arithmetic broadcasts, so one expression can carry a
+    whole gamma grid; dtype=object carries exact Fractions through the
+    same code paths.
     """
 
     Q: np.ndarray
     c: np.ndarray
-    k: np.ndarray
-
-    def __add__(self, other):
-        return GramExpression(self.Q + other.Q, self.c + other.c, self.k + other.k)
 
     def __sub__(self, other):
-        return GramExpression(self.Q - other.Q, self.c - other.c, self.k - other.k)
-
-    def __neg__(self):
-        return GramExpression(-self.Q, -self.c, -self.k)
+        return GramExpression(self.Q - other.Q, self.c - other.c)
 
     def scaled(self, w):
-        return GramExpression(self.Q * _expand(w, 2), self.c * _expand(w, 1), self.k * w)
+        return GramExpression(self.Q * _expand(w, 2), self.c * _expand(w, 1))
 
     def evaluate(self, gram, scalars):
         """Value on a concrete Gram matrix and scalar assignment."""
         gram = np.asarray(gram)
         scalars = np.asarray(scalars)
-        return (self.Q * gram).sum((-1, -2)) + (self.c * scalars).sum(-1) + self.k
+        return (self.Q * gram).sum((-1, -2)) + (self.c * scalars).sum(-1)
 
     def max_abs(self):
         """Largest coefficient magnitude, reduced over the symbol axes."""
-        q = np.abs(self.Q).max((-1, -2))
-        c = np.abs(self.c).max(-1)
-        return np.maximum(np.maximum(q, c), np.abs(self.k))
+        return np.maximum(np.abs(self.Q).max((-1, -2)), np.abs(self.c).max(-1))
 
 
 def _expand(w, axes):
@@ -124,7 +119,7 @@ def _batch_of(*params):
 
 
 class _Vec:
-    """A vector operand: coefficients over VECTOR_SYMBOLS, (..., 4)."""
+    """A vector operand: coefficients over VECTOR_SYMBOLS, (..., 3)."""
 
     __slots__ = ("a", "unit")
     __array_ufunc__ = None  # numpy scalars and arrays defer to __rmul__
@@ -194,7 +189,7 @@ class _Form:
         c = _zero_array(batch + (_NS,), exact)
         for sym, w in self.lin:
             c[..., _SIDX[sym]] = c[..., _SIDX[sym]] + w
-        return GramExpression(Q, c, _zero_array(batch, exact))
+        return GramExpression(Q, c)
 
 
 _Point = namedtuple("_Point", "x g fv")
@@ -206,18 +201,23 @@ def _symbols(exact):
     return vectors + [_Form((), ((s, unit),), unit) for s in SCALAR_SYMBOLS]
 
 
-# x1, g1, g2, s2, f1, f2, h1, h2, Fstar as operands, for float and exact mode
+# g1, g2, s2, f2, h1, h2 as operands, for float and exact mode
 _SYMBOLS = {exact: _symbols(exact) for exact in (False, True)}
 
 
 def _gram_operands(L, mu, gamma, exact):
-    x1, g1, g2, s2, f1, f2, h1, h2, fstar = _SYMBOLS[exact]
+    g1, g2, s2, f2, h1, h2 = _SYMBOLS[exact]
+    # the gauge: moving the points, shifting f and h by opposite constants
+    # and shifting F and F* together change no constraint, so x1 = 0,
+    # f(x1) = 0 and F* = 0, and h1 stands for F(x1) - F*
+    x1 = _Vec(_zero_array(_NV, exact), _unit(exact))
+    zero = _Form((), (), _unit(exact))
     G1 = g1 + s2  # the residual at x1
     x2 = x1 - gamma * G1  # the one substitution of the second iterate
     return {
-        "tf1": _Point(x1, g1, f1), "tf2": _Point(x2, g2, f2),
+        "tf1": _Point(x1, g1, zero), "tf2": _Point(x2, g2, f2),
         "th1": _Point(x1, None, h1), "th2": _Point(x2, s2, h2),
-        "F1": f1 + h1, "F2": f2 + h2, "Fstar": fstar, "G1": G1,
+        "F1": h1, "F2": f2 + h2, "Fstar": zero, "G1": G1,
         "g2": g2, "s2": s2, "L": L, "mu": mu,
     }
 
@@ -258,9 +258,8 @@ def objective_gap_expression(which: str, batch=(), exact=False) -> GramExpressio
     """F(x2)-F* for which='final', F(x1)-F* for which='initial'."""
     if which not in ("final", "initial"):
         raise DomainError(f"unknown objective selector {which!r}")
-    _x1, _g1, _g2, _s2, f1, f2, h1, h2, fstar = _SYMBOLS[exact]
-    F = f2 + h2 if which == "final" else f1 + h1
-    return (F - fstar).expression(batch, exact)
+    _g1, _g2, _s2, f2, h1, h2 = _SYMBOLS[exact]
+    return (f2 + h2 if which == "final" else h1).expression(batch, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +527,15 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
     membership is decided in floating point; a closed endpoint computed in
     floating point can lie just outside the interval, where exact mode
     sees the certificate fail, and `interval_grid` keeps its points inside.
+    Requires L > 0 and mu > 0.
     """
+    if not (L > 0 and mu > 0):
+        raise DomainError(f"L and mu must be positive, got L={float(L)!r}, mu={float(mu)!r}")
     gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
     inside = cert.gamma_in_interval(L, gamma_arr)
     if not np.all(inside):
         bad = gamma_arr[~inside]
-        raise DomainError(f"gamma {bad[0]!r} outside interval of {cert.case_id}")
+        raise DomainError(f"gamma {float(bad[0])!r} outside interval of {cert.case_id}")
 
     if exact:
         num, dtype, mult_tol, identity_tol, eig_tol = Fraction, object, 0, 0, 0
@@ -616,13 +618,15 @@ def sweep_verify(case_id: str, L, mu, gamma_grid) -> SweepSummary:
     )
 
 
-def interval_grid(cert: Certificate, L: float, n: int, margin: float = 1e-6) -> np.ndarray:
-    """n gammas spanning the case interval, shrunk by a relative margin at
-    open endpoints. A closed endpoint is moved one ulp inward: its float
-    value can round to just outside the interval, where exact arithmetic
-    sees the certificate fail."""
+def interval_grid(cert: Certificate, L: float, n: int) -> np.ndarray:
+    """n >= 1 gammas spanning the case interval at L > 0, shrunk by
+    GRID_MARGIN at open endpoints. A closed endpoint is moved one ulp
+    inward: its float value can round to just outside the interval, where
+    exact arithmetic sees the certificate fail."""
+    if not (L > 0 and n >= 1):
+        raise DomainError(f"interval grid needs L > 0 and n >= 1, got L={float(L)!r}, n={n!r}")
     lo, hi, lo_closed, hi_closed = cert.interval(L)
     span = hi - lo
-    a = np.nextafter(lo, hi) if lo_closed and lo > 0 else lo + margin * span
-    b = np.nextafter(hi, lo) if hi_closed else hi - margin * span
+    a = np.nextafter(lo, hi) if lo_closed and lo > 0 else lo + GRID_MARGIN * span
+    b = np.nextafter(hi, lo) if hi_closed else hi - GRID_MARGIN * span
     return np.linspace(a, b, n)

@@ -48,6 +48,18 @@ def _add_query_flags(parser, need_gamma=True):
         parser.add_argument("--gamma", type=float, help="step size in (0, 2/L)")
 
 
+def _gamma_grid(args):
+    """The --grid points from --gamma-min to --gamma-max, by default
+    0.01/L to 1.99/L."""
+    if not args.L > 0:
+        raise DomainError(f"L must be positive, got {args.L!r}")
+    if args.grid is None or args.grid < 1:
+        raise DomainError(f"--grid needs at least 1 point, got {args.grid}")
+    lo = args.gamma_min if args.gamma_min is not None else 0.01 / args.L
+    hi = args.gamma_max if args.gamma_max is not None else 1.99 / args.L
+    return np.linspace(lo, hi, args.grid)
+
+
 def cmd_rate(args):
     if (args.gamma is None) == (args.grid is None):
         raise DomainError("pass exactly one of --gamma or --grid")
@@ -58,10 +70,7 @@ def cmd_rate(args):
     out = _resolve_output(args.output)
     if out is None:
         raise DomainError("--grid output needs --output")
-    lo = args.gamma_min if args.gamma_min is not None else 0.01 / args.L
-    hi = args.gamma_max if args.gamma_max is not None else 1.99 / args.L
-    grid = np.linspace(lo, hi, args.grid)
-    rows = rates.rate_curve(args.fn_class, args.ineq, args.L, args.mu, grid)
+    rows = rates.rate_curve(args.fn_class, args.ineq, args.L, args.mu, _gamma_grid(args))
     rates.write_rate_curve_csv(out, rows)
     return 0
 
@@ -122,10 +131,7 @@ def cmd_pep_search(args):
         return 0
     if out is None:
         raise DomainError("grid search needs --output")
-    lo = args.gamma_min if args.gamma_min is not None else 0.01 / args.L
-    hi = args.gamma_max if args.gamma_max is not None else 1.99 / args.L
-    grid = np.linspace(lo, hi, args.grid)
-    rows = pepsearch.tightness_curve(args.fn_class, args.ineq, args.L, args.mu, grid)
+    rows = pepsearch.tightness_curve(args.fn_class, args.ineq, args.L, args.mu, _gamma_grid(args))
     pepsearch.write_tightness_csv(out, rows)
     return 0
 

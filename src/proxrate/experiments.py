@@ -21,6 +21,7 @@ from .pgm import PgmConfig, Trace, estimate_fstar, run_pgm
 from .problem import ProblemData, generate_instance
 
 GAP_TOL = 1e-8
+TAIL_WINDOW = 100  # most factors tail_geometric_mean averages
 
 DEFAULT_POLICIES = {
     # srlr: tested fixed steps span (0, sqrt3/L]; with the conservative
@@ -95,7 +96,6 @@ class ExperimentSpec:
     step_policies: Optional[Sequence] = None
     budget: int = 50_000
     gap_tol: float = GAP_TOL
-    report_quantity: str = ""  # label only; defaults per kind
 
     def __post_init__(self):
         if self.kind not in DEFAULT_POLICIES:
@@ -104,12 +104,8 @@ class ExperimentSpec:
             raise DomainError("n and d must be positive")
         if (self.delta is not None) != (self.kind == "elastic_net"):
             raise DomainError("delta must be present exactly for elastic_net")
-        if not self.report_quantity:
-            object.__setattr__(
-                self,
-                "report_quantity",
-                "gap_to_Fstar" if self.kind == "elastic_net" else "gap_to_Fhat",
-            )
+        if not self.gap_tol > 0:
+            raise DomainError(f"gap_tol must be positive, got {self.gap_tol!r}")
 
     def policies(self) -> list[StepPolicy]:
         raw = self.step_policies or DEFAULT_POLICIES[self.kind]
@@ -176,11 +172,11 @@ def empirical_contraction(trace: Trace, fstar: float):
     return float(factors.max()), factors
 
 
-def tail_geometric_mean(factors: np.ndarray, max_window: int = 100) -> Optional[float]:
-    """Geometric mean of the last max(10, len//4) factors (capped)."""
+def tail_geometric_mean(factors: np.ndarray) -> Optional[float]:
+    """Geometric mean of the last max(10, len//4) factors, at most TAIL_WINDOW."""
     if factors.size == 0:
         return None
-    k = min(factors.size, max(10, min(max_window, factors.size // 4)))
+    k = min(factors.size, max(10, min(TAIL_WINDOW, factors.size // 4)))
     tail = factors[-k:]
     tail = tail[tail > 0]
     if tail.size == 0:

@@ -189,8 +189,6 @@ def validate_trace(
     (domination inequalities are only assumed on the initial sublevel
     set); skipped iterates are logged and reported.
     """
-    if trace.subgradients is None:
-        raise DomainError("trace was recorded without subgradients")
     gamma = trace.gamma
     n = len(trace.points)
 

@@ -5,11 +5,12 @@ objective gap F(x2) - F* over all instances satisfying the proof's
 constraint set is a semidefinite program (performance estimation: Drori
 & Teboulle, Math. Prog. 2014; Taylor, Hendrickx & Glineur, SIAM J.
 Optim. 2017). Its variables are a PSD Gram matrix over the vector
-symbols and the scalar values (f1, f2, h2), normalized to F* = 0 and
-F(x1) - F* = 1 (so h1 = 1 - f1), and each constraint is a
-`build_constraint` expression required to be <= 0. Its dual is the
-certificate problem: nonnegative multipliers whose weighted constraint
-sum leaves a nonpositive remainder; the dual value is an upper bound.
+symbols (g1, g2, s2) and the scalar values (f2, h2), normalized to
+h1 = F(x1) - F* = 1 in the gauge `build_constraint` fixes (x1 = 0,
+f(x1) = 0, F* = 0), and each constraint is a `build_constraint`
+expression required to be <= 0. Its dual is the certificate problem:
+nonnegative multipliers whose weighted constraint sum leaves a
+nonpositive remainder; the dual value is an upper bound.
 
 One primal-dual interior-point solve (HKM direction, Mehrotra
 predictor-corrector; Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J.
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .certificate import VECTOR_SYMBOLS, build_constraint
+from .certificate import build_constraint
 from .errors import DomainError, VerificationError
 from .rates import rate_formula
 
@@ -52,6 +53,8 @@ class SearchParams:
     def __post_init__(self):
         if (self.fn_class, self.ineq) not in CONSTRAINT_SETS:
             raise DomainError(f"unknown class/inequality pair ({self.fn_class!r}, {self.ineq!r})")
+        if not (self.L > 0 and self.mu > 0):  # mu > L stays allowed
+            raise DomainError(f"L and mu must be positive, got L={self.L!r}, mu={self.mu!r}")
         if not 0 < self.gamma < 2.0 / self.L:
             raise DomainError(f"gamma out of (0, 2/L): gamma={self.gamma!r}, L={self.L!r}")
 
@@ -65,10 +68,8 @@ class SearchInstance:
     """A concrete candidate: Gram factor, scalar values, and its slacks."""
 
     params: SearchParams
-    V: np.ndarray  # (4, k), one row per vector symbol
-    f1: float
+    V: np.ndarray  # (3, 3), one row per vector symbol (g1, g2, s2)
     f2: float
-    h1: float
     h2: float
 
     @property
@@ -77,7 +78,7 @@ class SearchInstance:
 
     @property
     def scalars(self) -> np.ndarray:
-        return np.array([self.f1, self.f2, self.h1, self.h2, 0.0])
+        return np.array([self.f2, 1.0, self.h2])
 
     @property
     def ratio(self) -> float:
@@ -211,49 +212,40 @@ def _interior_point(AS, AL, CL, h):
 def solve_one_step(params: SearchParams) -> SdpSolution:
     """The exact worst case of the constraint set, from one SDP solve.
 
-    The PSD block covers only the vector symbols some constraint touches:
-    x1 enters none, and an untouched symbol would leave the certificate
-    side without an interior point. The scalars are reduced to the row
-    space of their coefficients, because the direction (1, 1, -1) of
-    (f1, f2, h2) enters no constraint and not the objective and would
-    make the Newton system singular. Raises VerificationError if the two
+    Each constraint set touches all of (g1, g2, s2) and both of (f2, h2);
+    a variable that entered no constraint would leave the certificate
+    side without an interior point. Raises VerificationError if the two
     bounds differ by more than DUALITY_GAP_TOL.
     """
     p = params
     exprs = [build_constraint(name, p.L, p.mu, p.gamma) for name in p.constraint_names]
-    Qs = np.stack([e.Q for e in exprs])
-    cs = np.stack([e.c for e in exprs])
-    touched = np.flatnonzero(np.abs(Qs).sum(axis=(0, 2)) > 0)
-    Q = Qs[:, touched][:, :, touched]
+    Q = np.stack([e.Q for e in exprs])
+    c = np.stack([e.c for e in exprs])
     Q_scale = np.abs(Q).max()  # the solver's Gram variable is Q_scale * Gram
-    n = len(touched)
+    n = Q.shape[1]
 
-    # <Q_i, G> + a_i.(f1, f2, h2) <= b_i, with h1 = 1 - f1 and F* = 0
-    a = np.stack([cs[:, 0] - cs[:, 2], cs[:, 1], cs[:, 3]], axis=1)
-    b = -(np.stack([e.k for e in exprs]) + cs[:, 2])
-    objective = np.array([0.0, 1.0, 1.0])
-    _, sv, vt = np.linalg.svd(np.vstack([a, objective]))
-    U = vt[: int(np.sum(sv > 1e-12 * sv[0]))].T  # orthonormal basis of the row space
+    # <Q_i, G> + a_i.(f2, h2) <= b_i at h1 = 1; c's columns are (f2, h1, h2)
+    a, b = c[:, [0, 2]], -c[:, 1]
+    objective = np.ones(2)
 
     # y = (scaled Gram entries in an orthonormal basis E of the symmetric
-    # matrices, U-coordinates of the scalars); the dual slack is the Gram
-    # block and the constraint slacks, the primal the certificate
+    # matrices, f2, h2); the dual slack is the Gram block and the
+    # constraint slacks, the primal the certificate
     rows, cols = np.triu_indices(n)
     k = np.arange(len(rows))
     E = np.zeros((len(rows), n, n))
     E[k, rows, cols] = E[k, cols, rows] = np.where(rows == cols, 1.0, np.sqrt(0.5))
-    AS = np.concatenate([-E, np.zeros((U.shape[1], n, n))])
-    AL = np.concatenate([np.einsum("mij,kij->km", Q / Q_scale, E), (a @ U).T])
-    h = np.concatenate([np.zeros(len(k)), U.T @ objective])
+    AS = np.concatenate([-E, np.zeros((2, n, n))])
+    AL = np.concatenate([np.einsum("mij,kij->km", Q / Q_scale, E), a.T])
+    h = np.concatenate([np.zeros(len(k)), objective])
 
     lam, y, iterations = _interior_point(AS, AL, b, h)
 
     gram = np.einsum("k,kij->ij", y[: len(k)], E) / Q_scale
     w, vecs = np.linalg.eigh(gram)
-    V = np.zeros((len(VECTOR_SYMBOLS), n))
-    V[touched] = vecs * np.sqrt(np.maximum(w, 0.0))
-    f1, f2, h2 = (float(v) for v in U @ y[len(k) :])
-    instance = SearchInstance(p, V, f1, f2, 1.0 - f1, h2)
+    V = vecs * np.sqrt(np.maximum(w, 0.0))
+    f2, h2 = (float(v) for v in y[len(k) :])
+    instance = SearchInstance(p, V, f2, h2)
     solution = SdpSolution(instance, float(b @ lam), dict(zip(p.constraint_names, map(float, lam))), iterations)
     if not abs(solution.duality_gap) <= DUALITY_GAP_TOL:
         raise VerificationError(

@@ -33,7 +33,6 @@ class PgmConfig:
     step: float
     max_iters: int = 100_000
     stop_tol: float = 1e-10
-    record_subgradients: bool = True
 
     def validate(self, lipschitz: float):
         if not self.step > 0 or not self.step < 2.0 / lipschitz:
@@ -63,7 +62,7 @@ class Trace:
     F_vals: np.ndarray
     residual_norms: np.ndarray
     gradients: List[np.ndarray]
-    subgradients: Optional[List[np.ndarray]]
+    subgradients: List[np.ndarray]
     stopped_on: str  # "stop_tol" | "max_iters"
     increase_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
@@ -163,15 +162,14 @@ def run_pgm(problem: CompositeProblem, config: PgmConfig, x1) -> Trace:
         raise NonFiniteError("non-finite starting point")
     gamma = config.step
 
-    points, grads, subs = [], [], [] if config.record_subgradients else None
+    points, grads, subs = [], [], []
     f_vals, h_vals, res_norms = [], [], []
 
     ev = _evaluate(problem, gamma, x, 1)
     for i in range(1, config.max_iters + 1):
         points.append(x)
         grads.append(ev.g)
-        if subs is not None:
-            subs.append(ev.s_next)
+        subs.append(ev.s_next)
         f_vals.append(ev.f)
         h_vals.append(ev.h)
         rnorm = float(np.linalg.norm(ev.residual))
@@ -184,8 +182,7 @@ def run_pgm(problem: CompositeProblem, config: PgmConfig, x1) -> Trace:
         # budget exhausted: record the last visited point as the final row
         points.append(x)
         grads.append(ev.g)
-        if subs is not None:
-            subs.append(ev.s_next)
+        subs.append(ev.s_next)
         f_vals.append(ev.f)
         h_vals.append(ev.h)
         res_norms.append(float(np.linalg.norm(ev.residual)))

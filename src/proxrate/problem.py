@@ -19,10 +19,6 @@ from .errors import DomainError
 
 Array = np.ndarray
 
-SMOOTH_CONVEX = "smooth_convex"
-SMOOTH_NONCONVEX = "smooth_nonconvex"
-
-
 @dataclass(frozen=True)
 class SmoothOracle:
     """First-order oracle for a smooth function with L-Lipschitz gradient."""
@@ -30,13 +26,10 @@ class SmoothOracle:
     value: Callable[[Array], float]
     gradient: Callable[[Array], Array]
     lipschitz: float
-    convexity_class: str = SMOOTH_CONVEX
 
     def __post_init__(self):
         if not self.lipschitz > 0:
             raise DomainError("lipschitz constant must be positive")
-        if self.convexity_class not in (SMOOTH_CONVEX, SMOOTH_NONCONVEX):
-            raise DomainError(f"unknown convexity class {self.convexity_class!r}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,7 @@ class ProxOperator:
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """F = f + h with optional known optimal value and PL-type modulus.
+    """F = f + h with an optional PL-type modulus.
 
     `mu_inequality` tags which inequality the modulus `mu` refers to:
     "pl" (subgradient-distance form) or "rpl" (prox-residual form).
@@ -72,7 +65,6 @@ class CompositeProblem:
 
     f: SmoothOracle
     h: ProxOperator
-    optimal_value: Optional[float] = None
     mu: Optional[float] = None
     mu_inequality: Optional[str] = None
 
@@ -111,7 +103,7 @@ def least_squares_oracle(A, b) -> SmoothOracle:
     def gradient(x):
         return A.T @ (A @ x - b)
 
-    return SmoothOracle(value, gradient, L, SMOOTH_CONVEX)
+    return SmoothOracle(value, gradient, L)
 
 
 def robust_log_oracle(A, b) -> SmoothOracle:
@@ -132,7 +124,7 @@ def robust_log_oracle(A, b) -> SmoothOracle:
         r = A @ x - b
         return A.T @ (2.0 * r / (r * r + 1.0))
 
-    return SmoothOracle(value, gradient, L, SMOOTH_NONCONVEX)
+    return SmoothOracle(value, gradient, L)
 
 
 def soft_threshold(x, t):

@@ -27,13 +27,13 @@ from proxrate.problem import generate_instance
 from proxrate.rates import RateQuery, rate
 
 
-def random_assignment(rng, gamma, dim=6):
-    x1, g1, g2, s2 = (rng.standard_normal(dim) for _ in range(4))
-    x2 = x1 - gamma * (g1 + s2)
-    vs = [x1, g1, g2, s2]
-    gram = np.array([[a @ b for b in vs] for a in vs])
-    scalars = rng.standard_normal(5)
-    return x1, x2, g1, g2, s2, gram, scalars
+def gauged(g1, g2, s2, f1, f2, h1, h2, fstar):
+    """Gram matrix of (g1, g2, s2) and scalars (f2, h1, h2) of concrete
+    values in the gauge x1 = 0, f1 = 0, F* = 0; x1 drops out with it."""
+    vs = [g1, g2, s2]
+    dtype = np.result_type(g1)
+    gram = np.array([[a @ b for b in vs] for a in vs], dtype=dtype)
+    return gram, np.array([f2 - f1, h1 + f1 - fstar, h2 + f1 - fstar], dtype=dtype)
 
 
 class TestCatalog:
@@ -113,18 +113,20 @@ class TestBuildConstraint:
 
     def test_c12_structure(self):
         expr = cm.build_constraint("C12", 1.0, 0.1, 0.7)
-        assert np.allclose(expr.c, [0.0, 0.0, -1.0, 1.0, 0.0])
-        g1_row = np.asarray(expr.Q)[1]
+        assert np.allclose(expr.c, [0.0, -1.0, 1.0])
+        g1_row = np.asarray(expr.Q)[0]
         # the only coupling of g1 enters through the x2 substitution
-        assert g1_row[3] != 0.0
-        assert g1_row[0] == 0.0 and g1_row[1] == 0.0 and g1_row[2] == 0.0
+        assert g1_row[2] != 0.0
+        assert g1_row[0] == 0.0 and g1_row[1] == 0.0
 
     @pytest.mark.parametrize("gamma", [0.3, 0.9, 1.7])
     def test_matches_scalar_conditions(self, rng, gamma):
-        L, mu, fstar_idx = 1.3, 0.21, 4
+        L, mu = 1.3, 0.21
         for _ in range(25):
-            x1, x2, g1, g2, s2, gram, scal = random_assignment(rng, gamma)
-            f1v, f2v, h1v, h2v, fsv = scal
+            x1, g1, g2, s2 = (rng.standard_normal(6) for _ in range(4))
+            x2 = x1 - gamma * (g1 + s2)
+            f1v, f2v, h1v, h2v, fsv = rng.standard_normal(5)
+            gram, scal = gauged(g1, g2, s2, f1v, f2v, h1v, h2v, fsv)
             tf1 = Triple(x1, g1, f1v)
             tf2 = Triple(x2, g2, f2v)
             th2 = Triple(x2, s2, h2v)
@@ -148,13 +150,10 @@ class TestBuildConstraint:
 
     def test_d2_zero_at_stationary_optimal_assignment(self, rng):
         gamma, L, mu = 0.8, 1.0, 0.4
-        x1 = rng.standard_normal(6)
         g1 = rng.standard_normal(6)
         s2 = rng.standard_normal(6)
         g2 = -s2  # g2 + s2 = 0
-        vs = [x1, g1, g2, s2]
-        gram = np.array([[a @ b for b in vs] for a in vs])
-        scal = np.array([0.3, 0.2, 0.1, 0.5, 0.7])  # f2 + h2 = Fstar
+        gram, scal = gauged(g1, g2, s2, 0.3, 0.2, 0.1, 0.5, 0.7)  # f2 + h2 = Fstar
         expr = cm.build_constraint("D2", L, mu, gamma)
         assert float(expr.evaluate(gram, scal)) == pytest.approx(0.0, abs=1e-14)
 
@@ -170,10 +169,8 @@ class TestBuildConstraint:
         for _ in range(5):
             x1, g1, g2, s2 = (ints(6) for _ in range(4))
             x2 = x1 - gamma * (g1 + s2)
-            vs = [x1, g1, g2, s2]
-            gram = np.array([[a @ b for b in vs] for a in vs], dtype=object)
-            scal = ints(5)
-            f1v, f2v, h1v, h2v, fsv = scal
+            f1v, f2v, h1v, h2v, fsv = ints(5)
+            gram, scal = gauged(g1, g2, s2, f1v, f2v, h1v, h2v, fsv)
             tf1 = SimpleNamespace(x=x1, g=g1, fv=f1v)
             tf2 = SimpleNamespace(x=x2, g=g2, fv=f2v)
             th1 = SimpleNamespace(x=x1, g=None, fv=h1v)
@@ -347,7 +344,7 @@ class TestSweep:
     def test_point_outside_interval_names_it(self):
         with pytest.raises(DomainError) as err:
             cm.sweep_verify("Thm3.2-case1", 1.0, 0.1, [0.5, 1.7])
-        assert "1.7" in str(err.value)
+        assert "gamma 1.7 outside" in str(err.value)
 
 
 class TestConsequenceOnTraces:

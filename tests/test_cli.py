@@ -9,6 +9,9 @@ import pytest
 from proxrate.cli import main
 
 
+PEP_SEARCH = ["pep-search", "--fn-class", "convex", "--ineq", "pl"]
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
@@ -191,14 +194,40 @@ class TestDeterminismAndFuzz:
             L = float(rng.choice([-1.0, 0.0, 1.0]))
             mu = float(rng.choice([-0.5, 0.0, 5.0]))
             gamma = float(rng.uniform(-3, 5))
-            code, _, err = run_cli(
-                ["rate", "--fn-class", "convex", "--ineq", "pl",
-                 "--L", str(L), "--mu", str(mu), "--gamma", str(gamma)],
-                capsys,
-            )
-            if code != 0:
-                assert code in (1, 2, 3, 4, 5)
-                assert err.startswith("error:")
+            query = ["--fn-class", "convex", "--ineq", "pl", "--L", str(L), "--mu", str(mu)]
+            for argv in (
+                ["rate", *query, "--gamma", str(gamma)],
+                ["pep-search", *query, "--gamma", str(gamma)],
+                ["certify", "--L", str(L), "--mu", str(mu), "--grid", "5"],
+            ):
+                code, _, err = run_cli(argv, capsys)
+                if code != 0:
+                    assert code in (2, 3, 4, 5), (argv, err)
+                    assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*PEP_SEARCH, "--L", "1", "--mu", "-0.1", "--gamma", "1"],
+            [*PEP_SEARCH, "--L", "1", "--mu", "0", "--gamma", "1"],
+            [*PEP_SEARCH, "--L", "0", "--mu", "0.1", "--gamma", "1"],
+            [*PEP_SEARCH, "--L", "1", "--mu", "0.1", "--grid", "-2", "--output", "OUT"],
+            ["certify", "--L", "0", "--mu", "0.1"],
+            ["certify", "--L", "1", "--mu", "0"],
+            ["certify", "--L", "1", "--mu", "-0.1"],
+            ["certify", "--L", "1", "--mu", "0.1", "--grid", "0"],
+            ["certify", "--L", "1", "--mu", "0.1", "--grid", "0", "--exact"],
+            ["rate", "--fn-class", "convex", "--ineq", "pl", "--L", "1", "--mu", "0.1", "--grid", "-2", "--output", "OUT"],
+            ["rate", "--fn-class", "convex", "--ineq", "pl", "--L", "1", "--mu", "0.1", "--grid", "0", "--output", "OUT"],
+            ["rate", "--fn-class", "convex", "--ineq", "pl", "--L", "0", "--mu", "0.1", "--grid", "5", "--output", "OUT"],
+            ["experiment", "--kind", "lasso", "--n", "20", "--d", "4", "--gap-tol", "-1", "--outdir", "OUT"],
+        ],
+    )
+    def test_out_of_domain_input_is_a_domain_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli([str(out) if a == "OUT" else a for a in argv], capsys)
+        assert code == 3 and err.startswith("error:domain:"), (code, err)
+        assert stdout == "" and not out.exists()
 
     def test_entrypoint_subprocess(self):
         proc = subprocess.run(

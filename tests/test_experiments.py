@@ -49,10 +49,6 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             ExperimentSpec(kind="elastic_net")
 
-    def test_report_quantity_defaults(self):
-        assert ExperimentSpec(kind="lasso").report_quantity == "gap_to_Fhat"
-        assert ExperimentSpec(kind="elastic_net", delta=1.0).report_quantity == "gap_to_Fstar"
-
 
 class TestContractionHelpers:
     def test_empty_trace_is_rejected(self):

@@ -177,17 +177,6 @@ class TestTraceValidation:
         assert tagged is not None and tagged <= 1e-9
         assert report.max_E_slack is not None and report.max_E_slack > 0.0
 
-    def test_requires_subgradients(self):
-        data = generate_instance("lasso", 30, 5, 0.1, seed=1)
-        problem = data.problem()
-        trace = run_pgm(
-            problem,
-            PgmConfig(step=1.0 / problem.f.lipschitz, max_iters=20, stop_tol=0.0, record_subgradients=False),
-            np.zeros(5),
-        )
-        with pytest.raises(DomainError):
-            validate_trace(problem, trace)
-
     def test_domination_checks_skip_ascent_iterates(self):
         # the domination inequalities are only assumed on the initial
         # sublevel set, so iterates where F went up are skipped, not failed

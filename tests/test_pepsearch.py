@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from proxrate.errors import DomainError
+from proxrate.interp import Triple, TriplePair, cond_A, cond_B, cond_C, cond_D, cond_E
 from proxrate.pepsearch import (
     CONSTRAINT_SETS,
     DUALITY_GAP_TOL,
@@ -62,7 +63,7 @@ class TestSearch:
         a, b = search_worst_case(params), search_worst_case(params)
         assert a.best_ratio == b.best_ratio and a.restarts_used == 1
         assert np.array_equal(a.instance.V, b.instance.V)
-        assert (a.instance.f1, a.instance.f2, a.instance.h2) == (b.instance.f1, b.instance.f2, b.instance.h2)
+        assert (a.instance.f2, a.instance.h2) == (b.instance.f2, b.instance.h2)
 
     def test_instance_slacks_match_reported(self):
         params = SearchParams("nonconvex", "pl", 1.0, 0.1, 1.0)
@@ -83,7 +84,33 @@ class TestExactSolve:
                     continue
                 res = search_worst_case(SearchParams(fn_class, ineq, L, mu, float(g)))
                 assert abs(res.gap) <= 1e-8, (fn_class, ineq, g, res.gap)
-                assert not res.instance.V[0].any()  # x1 enters no constraint
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.6, 1.2, 1.8])
+    def test_worst_case_realized_as_points(self, rng, gamma):
+        # the instance's Gram factor and values, placed at a random x1 with
+        # random f(x1) and F*, satisfy every constraint's own definition
+        L, mu = 1.0, 0.1
+        for fn_class, ineq in CONSTRAINT_SETS:
+            params = SearchParams(fn_class, ineq, L, mu, gamma)
+            instance = search_worst_case(params).instance
+            g1, g2, s2 = instance.V
+            x1 = rng.standard_normal(3)
+            f1, fstar = rng.standard_normal(2)
+            x2 = x1 - gamma * (g1 + s2)
+            tf1, tf2 = Triple(x1, g1, f1), Triple(x2, g2, instance.f2 + f1)
+            th1, th2 = Triple(x1, np.zeros(3), 1.0 - f1 + fstar), Triple(x2, s2, instance.h2 - f1 + fstar)
+            at1, at2 = TriplePair(tf1, th1), TriplePair(tf2, th2)
+            e1 = cond_E(at1, fstar, mu, np.linalg.norm(x1 - x2) / gamma)
+            slacks = {
+                "A12": cond_A(tf1, tf2, L), "A21": cond_A(tf2, tf1, L),
+                "B12": cond_B(tf1, tf2, L), "B21": cond_B(tf2, tf1, L),
+                "C12": cond_C(th1, th2), "D2": cond_D(at2, fstar, mu), "E2": cond_D(at2, fstar, mu),
+                "E1": e1, "Eprime1": e1,
+            }
+            case = (fn_class, ineq)
+            for name in params.constraint_names:
+                assert slacks[name] <= FEASIBILITY_TOL, (case, name, slacks[name])
+            assert at2.total_value - fstar == pytest.approx(instance.ratio, abs=1e-12), case
 
     def test_convex_rpl_small_step_gap(self):
         params = SearchParams("convex", "rpl", 1.0, 0.1, 0.6)
