@@ -49,11 +49,15 @@ def _add_query_flags(parser, need_gamma=True):
 
 
 def _gamma_grid(args):
-    """The --grid points from --gamma-min to --gamma-max, by default
-    0.01/L to 1.99/L."""
+    """None for a --gamma point query; otherwise the --grid points from
+    --gamma-min to --gamma-max, by default 0.01/L to 1.99/L."""
+    if (args.gamma is None) == (args.grid is None):
+        raise DomainError("pass exactly one of --gamma or --grid")
+    if args.gamma is not None:
+        return None
     if not args.L > 0:
         raise DomainError(f"L must be positive, got {args.L!r}")
-    if args.grid is None or args.grid < 1:
+    if args.grid < 1:
         raise DomainError(f"--grid needs at least 1 point, got {args.grid}")
     lo = args.gamma_min if args.gamma_min is not None else 0.01 / args.L
     hi = args.gamma_max if args.gamma_max is not None else 1.99 / args.L
@@ -61,16 +65,15 @@ def _gamma_grid(args):
 
 
 def cmd_rate(args):
-    if (args.gamma is None) == (args.grid is None):
-        raise DomainError("pass exactly one of --gamma or --grid")
-    if args.gamma is not None:
+    grid = _gamma_grid(args)
+    if grid is None:
         res = rates.rate(rates.RateQuery(args.fn_class, args.ineq, args.L, args.mu, args.gamma))
         print(f"{format_float(res.rho)} {res.branch}")
         return 0
     out = _resolve_output(args.output)
     if out is None:
         raise DomainError("--grid output needs --output")
-    rows = rates.rate_curve(args.fn_class, args.ineq, args.L, args.mu, _gamma_grid(args))
+    rows = rates.rate_curve(args.fn_class, args.ineq, args.L, args.mu, grid)
     rates.write_rate_curve_csv(out, rows)
     return 0
 
@@ -120,8 +123,8 @@ def cmd_certify(args):
 
 
 def cmd_pep_search(args):
-    out = _resolve_output(args.output)
-    if args.gamma is not None:
+    grid = _gamma_grid(args)
+    if grid is None:
         params = pepsearch.SearchParams(args.fn_class, args.ineq, args.L, args.mu, args.gamma)
         res = pepsearch.search_worst_case(params)
         print(
@@ -129,9 +132,10 @@ def cmd_pep_search(args):
             f"{format_float(res.gap)} {res.restarts_used}"
         )
         return 0
+    out = _resolve_output(args.output)
     if out is None:
         raise DomainError("grid search needs --output")
-    rows = pepsearch.tightness_curve(args.fn_class, args.ineq, args.L, args.mu, _gamma_grid(args))
+    rows = pepsearch.tightness_curve(args.fn_class, args.ineq, args.L, args.mu, grid)
     pepsearch.write_tightness_csv(out, rows)
     return 0
 

@@ -37,9 +37,7 @@ DEFAULT_POLICIES = {
 # Prop3.1/Prop3.2 steps. It selects the paper's Prop4.2 rule at lmin+delta,
 # a reproduced step the program does not certify: that modulus is tagged
 # "pl" (see ProblemData.problem), and the published bound follows the tag.
-_PROBLEM_SETTING = {
-    "elastic_net": ("convex", "rpl"),
-}
+_ELASTIC_NET_SETTING = ("convex", "rpl")
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class StepPolicy:
         # a modulus at or above L still certifies every weaker one, and
         # the step-selection rule needs mu strictly below L
         mu_eff = mu if mu < L else L * (1.0 - 1e-12)
-        step = rates.optimal_step(*_PROBLEM_SETTING[problem_kind], L, mu_eff)
+        step = rates.optimal_step(*_ELASTIC_NET_SETTING, L, mu_eff)
         return step.gamma_star, step.branch
 
 
@@ -162,16 +160,6 @@ class ExperimentResult:
         )
 
 
-def empirical_contraction(trace: Trace, fstar: float):
-    """Max significant per-step gap ratio and the full filtered list."""
-    if len(trace.points) == 0:
-        raise DomainError("empty trace")
-    factors = trace.contraction_factors(fstar)
-    if factors.size == 0:
-        return None, factors
-    return float(factors.max()), factors
-
-
 def tail_geometric_mean(factors: np.ndarray) -> Optional[float]:
     """Geometric mean of the last max(10, len//4) factors, at most TAIL_WINDOW."""
     if factors.size == 0:
@@ -198,7 +186,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     mu = problem.mu
     x0 = np.zeros(spec.d)
 
-    reference = estimate_fstar(problem, x0, max_iters=max(200_000, spec.budget), stop_tol=1e-13)
+    reference = estimate_fstar(problem, x0, max_iters=max(200_000, spec.budget))
 
     traces = []
     for policy in spec.policies():
@@ -220,7 +208,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         gaps = trace.F_vals - fhat
         hit = np.nonzero(gaps <= spec.gap_tol)[0]
         iters_to_tol = int(hit[0]) if hit.size else None
-        max_fac, factors = empirical_contraction(trace, fhat)
+        factors = trace.contraction_factors(fhat)
         bound = None
         if spec.kind == "elastic_net" and mu is not None and mu < L:
             # the rate proved under the inequality the instance's modulus is
@@ -234,7 +222,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 branch=branch,
                 trace=trace,
                 iterations_to_tol=iters_to_tol,
-                max_contraction=max_fac,
+                max_contraction=float(factors.max()) if factors.size else None,
                 tail_geomean=tail_geometric_mean(factors),
                 analytic_bound=bound,
             )

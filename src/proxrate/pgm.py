@@ -13,7 +13,7 @@ grad_f(x) when h = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,6 +24,9 @@ _EPS = float(np.finfo(float).eps)
 
 # gaps below this multiple of machine epsilon are 0/0 noise, not signal
 CONTRACTION_SIGNIFICANCE = 1e2
+
+# residual-norm tolerance of the reference run behind estimate_fstar
+FSTAR_STOP_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -51,18 +54,19 @@ class Trace:
 
     Row i holds the i-th visited point with its values, the residual norm
     ||G_gamma(x_i)||, the gradient g_i, and the certified subgradient
-    s_{i+1} at the *next* point. All arrays share length n_records; the
-    final visited point is the last row.
+    s_{i+1} at the *next* point. `points`, `gradients` and `subgradients`
+    are (n, d) arrays, the rest length-n vectors; the final visited point
+    is the last row.
     """
 
     gamma: float
-    points: List[np.ndarray]
+    points: np.ndarray
     f_vals: np.ndarray
     h_vals: np.ndarray
     F_vals: np.ndarray
     residual_norms: np.ndarray
-    gradients: List[np.ndarray]
-    subgradients: List[np.ndarray]
+    gradients: np.ndarray
+    subgradients: np.ndarray
     stopped_on: str  # "stop_tol" | "max_iters"
     increase_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
@@ -78,13 +82,17 @@ class Trace:
     def monotone(self) -> bool:
         return self.increase_indices.size == 0
 
-    def contraction_factors(self, fstar: float) -> np.ndarray:
-        """(F_{i+1} - F*)/(F_i - F*) on steps where the gap is significant."""
+    def _significant_gaps(self, fstar: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row gaps F_i - F*, and the mask of steps i -> i+1 whose two
+        gaps both clear the significance floor (so neither is zero)."""
         gaps = self.F_vals - fstar
         floor = CONTRACTION_SIGNIFICANCE * _EPS * (1.0 + abs(fstar))
-        ok = (gaps[:-1] > floor) & (gaps[1:] > floor)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return gaps[1:][ok] / gaps[:-1][ok]
+        return gaps, (gaps[:-1] > floor) & (gaps[1:] > floor)
+
+    def contraction_factors(self, fstar: float) -> np.ndarray:
+        """(F_{i+1} - F*)/(F_i - F*) on steps where the gap is significant."""
+        gaps, significant = self._significant_gaps(fstar)
+        return gaps[1:][significant] / gaps[:-1][significant]
 
     def to_csv(self, path, fstar: Optional[float] = None):
         """Write iter, F, gap, residual_norm, contraction rows.
@@ -94,21 +102,16 @@ class Trace:
         """
         from .tableio import format_float, write_csv
 
-        floor = None
+        rows = [
+            [i + 1, format_float(F), "", format_float(r), ""]
+            for i, (F, r) in enumerate(zip(self.F_vals, self.residual_norms))
+        ]
         if fstar is not None:
-            floor = CONTRACTION_SIGNIFICANCE * _EPS * (1.0 + abs(fstar))
-        rows = []
-        for i, F in enumerate(self.F_vals):
-            gap = ""
-            contraction = ""
-            if fstar is not None:
-                g = F - fstar
-                gap = format_float(g)
-                if i > 0:
-                    prev = self.F_vals[i - 1] - fstar
-                    if prev > floor and g > floor:
-                        contraction = format_float(g / prev)
-            rows.append([i + 1, format_float(F), gap, format_float(self.residual_norms[i]), contraction])
+            gaps, significant = self._significant_gaps(fstar)
+            for row, gap in zip(rows, gaps):
+                row[2] = format_float(gap)
+            for i, factor in zip(np.flatnonzero(significant) + 1, self.contraction_factors(fstar)):
+                rows[i][4] = format_float(factor)
         write_csv(path, ["iter", "F", "gap", "residual_norm", "contraction"], rows)
 
 
@@ -149,6 +152,22 @@ def residual(problem: CompositeProblem, gamma: float, x) -> tuple[np.ndarray, fl
     return ev.residual, float(np.linalg.norm(ev.residual))
 
 
+def _iterates(problem: CompositeProblem, gamma: float, x1, max_iters: int, stop_tol: float):
+    """Yield (x_i, _evaluate(x_i), ||G_gamma(x_i)||) for i = 1, 2, ...
+    through the first point whose residual norm is at most stop_tol, or
+    through x_{max_iters+1} when the budget runs out first."""
+    x = np.array(x1, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("non-finite starting point")
+    for i in range(1, max_iters + 2):
+        ev = _evaluate(problem, gamma, x, i)
+        rnorm = float(np.linalg.norm(ev.residual))
+        yield x, ev, rnorm
+        if rnorm <= stop_tol:
+            return
+        x = ev.y
+
+
 def run_pgm(problem: CompositeProblem, config: PgmConfig, x1) -> Trace:
     """Run the iteration from x1 until stop_tol on ||G_gamma|| or max_iters.
 
@@ -157,40 +176,13 @@ def run_pgm(problem: CompositeProblem, config: PgmConfig, x1) -> Trace:
     problems in the oracles.
     """
     config.validate(problem.f.lipschitz)
-    x = np.asarray(x1, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError("non-finite starting point")
     gamma = config.step
-
-    points, grads, subs = [], [], []
-    f_vals, h_vals, res_norms = [], [], []
-
-    ev = _evaluate(problem, gamma, x, 1)
-    for i in range(1, config.max_iters + 1):
-        points.append(x)
-        grads.append(ev.g)
-        subs.append(ev.s_next)
-        f_vals.append(ev.f)
-        h_vals.append(ev.h)
-        rnorm = float(np.linalg.norm(ev.residual))
-        res_norms.append(rnorm)
-        if rnorm <= config.stop_tol:
-            break
-        x = ev.y
-        ev = _evaluate(problem, gamma, x, i + 1)
-    else:
-        # budget exhausted: record the last visited point as the final row
-        points.append(x)
-        grads.append(ev.g)
-        subs.append(ev.s_next)
-        f_vals.append(ev.f)
-        h_vals.append(ev.h)
-        res_norms.append(float(np.linalg.norm(ev.residual)))
-
-    f_vals = np.asarray(f_vals)
-    h_vals = np.asarray(h_vals)
+    rows = [
+        (x, ev.g, ev.s_next, ev.f, ev.h, rnorm)
+        for x, ev, rnorm in _iterates(problem, gamma, x1, config.max_iters, config.stop_tol)
+    ]
+    points, grads, subs, f_vals, h_vals, res_norms = (np.array(col) for col in zip(*rows))
     F_vals = f_vals + h_vals
-    res_norms = np.asarray(res_norms)
     stopped_on = "stop_tol" if res_norms[-1] <= config.stop_tol else "max_iters"
     # flag only increases that exceed evaluation roundoff
     floor = 8.0 * _EPS * (1.0 + np.abs(F_vals[:-1]))
@@ -213,45 +205,28 @@ class FstarEstimate(NamedTuple):
     """Best objective value found by a long reference run.
 
     `stale` is set when the budget ran out before the residual tolerance
-    was met, i.e. the value may still be improvable.
+    was met, i.e. the value may still be improvable. `iterations` counts
+    the steps taken, as `Trace.iterations` does.
     """
 
     value: float
     stale: bool
     iterations: int
-    residual_norm: float
 
     def __float__(self):
         return self.value
 
 
-def estimate_fstar(
-    problem: CompositeProblem,
-    x1,
-    max_iters: int = 200_000,
-    stop_tol: float = 1e-13,
-) -> FstarEstimate:
-    """Surrogate optimal value from a long run with step 1/L.
+def estimate_fstar(problem: CompositeProblem, x1, max_iters: int = 200_000) -> FstarEstimate:
+    """Surrogate optimal value from a long run with step 1/L, stopped at
+    FSTAR_STOP_TOL on the residual norm.
 
-    Uses a storage-free loop (only the best value is kept), so budgets in
-    the hundreds of thousands of iterations stay cheap.
+    Only the best value is kept, so budgets in the hundreds of thousands
+    of iterations stay cheap.
     """
-    gamma = 1.0 / problem.f.lipschitz
-    x = np.asarray(x1, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError("non-finite starting point")
+    config = PgmConfig(1.0 / problem.f.lipschitz, max_iters, FSTAR_STOP_TOL)
+    config.validate(problem.f.lipschitz)
     best = np.inf
-    rnorm = np.inf
-    iters = 0
-    for i in range(1, max_iters + 1):
-        ev = _evaluate(problem, gamma, x, i)
+    for steps, (_, ev, rnorm) in enumerate(_iterates(problem, config.step, x1, max_iters, FSTAR_STOP_TOL)):
         best = min(best, ev.f + ev.h)
-        rnorm = float(np.linalg.norm(ev.residual))
-        iters = i
-        if rnorm <= stop_tol:
-            break
-        x = ev.y
-    else:
-        # budget exhausted mid-step: fold in the last point reached
-        best = min(best, problem.objective(x))
-    return FstarEstimate(best, stale=rnorm > stop_tol, iterations=iters, residual_norm=rnorm)
+    return FstarEstimate(best, stale=rnorm > FSTAR_STOP_TOL, iterations=steps)

@@ -38,12 +38,7 @@ class RateQuery:
             raise DomainError(f"unknown function class {self.fn_class!r}")
         if self.ineq not in _INEQS:
             raise DomainError(f"unknown inequality {self.ineq!r}")
-        if not self.L > 0:
-            raise DomainError("L must be positive")
-        if not self.mu > 0:
-            raise DomainError("mu must be positive")
-        if not 0 < self.gamma < 2.0 / self.L:
-            raise DomainError(f"gamma out of (0, 2/L): gamma={self.gamma!r}, L={self.L!r}")
+        _check_domain(self.L, self.mu, self.gamma)
         if self.mu > self.L:
             raise DomainError("mu > L rejected: the domination modulus cannot exceed the smoothness constant")
 
@@ -52,7 +47,17 @@ class RateQuery:
 class RateResult:
     rho: float
     branch: str
-    formula_id: str
+
+
+def _check_domain(L, mu, gamma):
+    """L > 0 and mu > 0, then gamma in (0, 2/L), so every rate
+    denominator is positive."""
+    if not L > 0:
+        raise DomainError(f"L must be positive, got {L!r}")
+    if not mu > 0:
+        raise DomainError(f"mu must be positive, got {mu!r}")
+    if not 0 < gamma < 2.0 / L:
+        raise DomainError(f"gamma out of (0, 2/L): gamma={gamma!r}, L={L!r}")
 
 
 def _large_step_quadratic(L, mu, gamma):
@@ -64,35 +69,34 @@ def _large_step_quadratic(L, mu, gamma):
 def rate_formula(fn_class, ineq, L, mu, gamma) -> RateResult:
     """Branch-correct rate formula without the mu <= L admissibility gate.
 
-    Callers that need the guarded contract should use `rate`. gamma must
-    still lie in (0, 2/L) so every denominator is positive.
+    Callers that need the guarded contract should use `rate`. L and mu
+    must still be positive and gamma in (0, 2/L).
     """
-    if not 0 < gamma < 2.0 / L:
-        raise DomainError(f"gamma out of (0, 2/L): gamma={gamma!r}, L={L!r}")
+    _check_domain(L, mu, gamma)
     if fn_class == NONCONVEX and ineq == PL:
         if gamma <= math.sqrt(3.0) / L:
             u = L * gamma + 1.0
             rho = u * u / (u * u + L * gamma * gamma * mu + 2.0 * gamma * mu)
-            return RateResult(rho, "Thm3.1-case1", "pl-nonconvex-small")
-        return RateResult(_large_step_quadratic(L, mu, gamma), "Thm3.1-case2", "pl-nonconvex-large")
+            return RateResult(rho, "Thm3.1-case1")
+        return RateResult(_large_step_quadratic(L, mu, gamma), "Thm3.1-case2")
     if fn_class == CONVEX and ineq == PL:
         if gamma <= 1.5 / L:
-            return RateResult(1.0 / (2.0 * gamma * mu + 1.0), "Thm3.2-case1", "pl-convex-small")
-        return RateResult(_large_step_quadratic(L, mu, gamma), "Thm3.2-case2", "pl-convex-large")
+            return RateResult(1.0 / (2.0 * gamma * mu + 1.0), "Thm3.2-case1")
+        return RateResult(_large_step_quadratic(L, mu, gamma), "Thm3.2-case2")
     if fn_class == NONCONVEX and ineq == RPL:
         t = L * gamma - 1.0
         rho = (L + mu * t * t - mu) / L
-        return RateResult(rho, "Thm4.1", "rpl-nonconvex")
+        return RateResult(rho, "Thm4.1")
     if fn_class == CONVEX and ineq == RPL:
         if gamma <= 1.0 / L:
             rho = (1.0 - gamma * mu) / (1.0 + gamma * mu)
-            return RateResult(rho, "Thm4.2-case1", "rpl-convex-small")
+            return RateResult(rho, "Thm4.2-case1")
         if gamma <= 1.5 / L:
             rho = (-2.0 * L * gamma * gamma * mu + L * gamma + 3.0 * gamma * mu - 2.0) / (
                 L * gamma - gamma * mu - 2.0
             )
-            return RateResult(rho, "Thm4.2-case2", "rpl-convex-mid")
-        return RateResult(_large_step_quadratic(L, mu, gamma), "Thm4.2-case3", "rpl-convex-large")
+            return RateResult(rho, "Thm4.2-case2")
+        return RateResult(_large_step_quadratic(L, mu, gamma), "Thm4.2-case3")
     raise DomainError(f"unknown (fn_class, ineq) = ({fn_class!r}, {ineq!r})")
 
 

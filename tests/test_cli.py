@@ -11,6 +11,10 @@ from proxrate.cli import main
 
 PEP_SEARCH = ["pep-search", "--fn-class", "convex", "--ineq", "pl"]
 
+# pytest's `pythonpath` setting does not reach child processes
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -212,6 +216,7 @@ class TestDeterminismAndFuzz:
             [*PEP_SEARCH, "--L", "1", "--mu", "0", "--gamma", "1"],
             [*PEP_SEARCH, "--L", "0", "--mu", "0.1", "--gamma", "1"],
             [*PEP_SEARCH, "--L", "1", "--mu", "0.1", "--grid", "-2", "--output", "OUT"],
+            [*PEP_SEARCH, "--L", "1", "--mu", "0.1", "--gamma", "1", "--grid", "3", "--output", "OUT"],
             ["certify", "--L", "0", "--mu", "0.1"],
             ["certify", "--L", "1", "--mu", "0"],
             ["certify", "--L", "1", "--mu", "-0.1"],
@@ -235,6 +240,7 @@ class TestDeterminismAndFuzz:
              "--ineq", "rpl", "--L", "1", "--mu", "0.1", "--gamma", "1"],
             capture_output=True,
             text=True,
+            env=SRC_ENV,
         )
         assert proc.returncode == 0
         assert proc.stdout.split()[1] == "Thm4.1"
@@ -266,5 +272,6 @@ class TestDeterminismAndFuzz:
             [sys.executable, "-m", "proxrate.cli", "no-such-command"],
             capture_output=True,
             text=True,
+            env=SRC_ENV,
         )
         assert proc.returncode == 2

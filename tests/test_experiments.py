@@ -6,7 +6,6 @@ import pytest
 from proxrate.errors import DomainError
 from proxrate.experiments import (
     ExperimentSpec,
-    empirical_contraction,
     parse_policy,
     run_experiment,
     tail_geometric_mean,
@@ -51,13 +50,6 @@ class TestSpecValidation:
 
 
 class TestContractionHelpers:
-    def test_empty_trace_is_rejected(self):
-        class Dummy:
-            points = []
-
-        with pytest.raises(DomainError):
-            empirical_contraction(Dummy(), 0.0)
-
     def test_constant_trace_has_no_factors(self):
         data = generate_instance("lasso", 20, 4, 0.1, seed=0)
         problem = data.problem()
@@ -67,8 +59,7 @@ class TestContractionHelpers:
         xstar = long.final_point
         fstar = problem.objective(xstar)
         trace = run_pgm(problem, PgmConfig(step=1.0 / problem.f.lipschitz, max_iters=5, stop_tol=0.0), xstar)
-        max_fac, factors = empirical_contraction(trace, fstar)
-        assert max_fac is None and factors.size == 0
+        assert trace.contraction_factors(fstar).size == 0
 
     def test_tail_geometric_mean(self):
         assert tail_geometric_mean(np.array([])) is None

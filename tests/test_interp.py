@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,25 @@ class TestTraceValidation:
         assert report.max_lemma_violation <= 1e-10
         assert report.max_iteration_identity_error <= 1e-12
         assert report.max_residual_identity_error <= 1e-12
+
+    def test_corrupted_trace_fails(self):
+        data = generate_instance("lasso", 60, 8, 0.1, seed=5)
+        problem = data.problem()
+        trace = run_pgm(problem, PgmConfig(step=1.0 / problem.f.lipschitz, max_iters=100, stop_tol=0.0), np.zeros(8))
+        assert validate_trace(problem, trace).ok()
+
+        moved = dataclasses.replace(trace, points=trace.points.copy())
+        moved.points[40] += 1e-6
+        report = validate_trace(problem, moved)
+        assert report.max_iteration_identity_error > 1e-12
+        assert report.max_residual_identity_error > 1e-12
+        assert not report.ok()
+
+        inflated = dataclasses.replace(trace, residual_norms=trace.residual_norms.copy())
+        inflated.residual_norms[40] *= 2.0
+        report = validate_trace(problem, inflated)
+        assert report.max_lemma_violation > 1e-10
+        assert not report.ok()
 
     def test_domination_slacks_on_elastic_net(self):
         data = generate_instance("elastic_net", 100, 10, 0.1, seed=6, delta=0.01)

@@ -125,6 +125,23 @@ class TestEstimateFstar:
         b = estimate_fstar(problem, rng.standard_normal(8) * 5.0)
         assert abs(a.value - b.value) <= 1e-10 * (1.0 + abs(a.value))
 
+    @pytest.mark.parametrize("max_iters", [10_000, 20])
+    def test_matches_run_pgm_at_1_over_L(self, max_iters):
+        # the same iteration: the best value is the trace's minimum and
+        # the iteration count is the number of steps taken
+        data = generate_instance("lasso", 40, 6, 0.1, seed=3)
+        problem = data.problem()
+        est = estimate_fstar(problem, np.zeros(6), max_iters=max_iters)
+        trace = run_pgm(problem, PgmConfig(1.0 / problem.f.lipschitz, max_iters, 1e-13), np.zeros(6))
+        assert trace.stopped_on == ("stop_tol" if max_iters == 10_000 else "max_iters")
+        assert est.value == trace.F_vals.min()
+        assert est.iterations == trace.iterations
+        assert est.stale == (trace.stopped_on == "max_iters")
+
+    def test_rejects_empty_budget(self):
+        with pytest.raises(DomainError):
+            estimate_fstar(quadratic_problem(), np.array([3.0]), max_iters=0)
+
     def test_stale_flag_on_tiny_budget(self):
         data = generate_instance("lasso", 40, 6, 0.1, seed=3)
         est = estimate_fstar(data.problem(), np.zeros(6), max_iters=3)

@@ -70,6 +70,15 @@ class TestValidation:
         with pytest.raises(DomainError):
             rate(RateQuery("convex", "kl", 1.0, 0.1, 1.0))
 
+    @pytest.mark.parametrize(
+        "args",
+        [("convex", "pl", 0.0, 0.1, 1.0), ("convex", "pl", 1.0, -0.5, 1.0), ("convex", "rpl", 1.0, 0.0, 0.5)],
+    )
+    def test_formula_rejects_nonpositive_constants(self, args):
+        # unchecked, these divide by zero (L = 0; mu = -0.5 at gamma = 1) or give rho = 1 (mu = 0)
+        with pytest.raises(DomainError):
+            rate_formula(*args)
+
     def test_formula_path_skips_mu_gate(self):
         # raw formula evaluation stays available for out-of-contract probes
         val = rate_formula("convex", "pl", 1.0, 10.0, 1.0).rho
