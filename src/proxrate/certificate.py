@@ -7,7 +7,11 @@ then live over the vector symbols (g1, g2, s2) and linear parts over the
 scalar symbols (f2, h1, h2), with h1 = F(x1) - F*; the second iterate
 never appears because x2 = -gamma*(g1 + s2) is substituted once, and
 optimal-point gradients are eliminated by g* + s* = 0. Each constraint
-is one of the interp definitions evaluated on these symbols.
+is one of the interp definitions evaluated on these symbols: a scalar
+symbol is a GramExpression, the one expression type, and the inner
+product of two vector symbols is one too, so a definition computes its
+Q and c directly. A parameter array (a gamma grid) enters as leading
+batch axes that every expression broadcasts over.
 A certificate stores the closed-form multipliers and the expected
 remainder; verification checks, per gamma,
 
@@ -22,10 +26,9 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import math
-import operator
 
 import numpy as np
 
@@ -36,8 +39,6 @@ VECTOR_SYMBOLS = ("g1", "g2", "s2")
 SCALAR_SYMBOLS = ("f2", "h1", "h2")
 _NV = len(VECTOR_SYMBOLS)
 _NS = len(SCALAR_SYMBOLS)
-_VIDX = {s: i for i, s in enumerate(VECTOR_SYMBOLS)}
-_SIDX = {s: i for i, s in enumerate(SCALAR_SYMBOLS)}
 
 IDENTITY_TOL = 1e-11
 MULTIPLIER_TOL = 1e-14
@@ -47,10 +48,6 @@ GRID_MARGIN = 1e-6  # interval_grid's relative offset from an open endpoint
 
 def _is_exact(*values) -> bool:
     return any(isinstance(v, Fraction) for v in values)
-
-
-def _unit(exact):
-    return Fraction(1) if exact else 1.0
 
 
 def _zero_array(shape, exact):
@@ -66,19 +63,29 @@ class GramExpression:
     """Quadratic-plus-linear expression over the fixed symbol bases.
 
     Q is (..., 3, 3) symmetric over VECTOR_SYMBOLS and c is (..., 3) over
-    SCALAR_SYMBOLS. Arithmetic broadcasts, so one expression can carry a
-    whole gamma grid; dtype=object carries exact Fractions through the
+    SCALAR_SYMBOLS. Expressions add and subtract, and multiply or divide
+    by a weight; an array weight carries leading (batch) axes, so one
+    expression can carry a whole gamma grid, and Q and c broadcast over
+    them independently. dtype=object carries exact Fractions through the
     same code paths.
     """
 
     Q: np.ndarray
     c: np.ndarray
 
+    __array_ufunc__ = None  # numpy scalars and arrays defer to __rmul__
+
+    def __add__(self, other):
+        return GramExpression(self.Q + other.Q, self.c + other.c)
+
     def __sub__(self, other):
         return GramExpression(self.Q - other.Q, self.c - other.c)
 
-    def scaled(self, w):
-        return GramExpression(self.Q * _expand(w, 2), self.c * _expand(w, 1))
+    def __rmul__(self, w):
+        return GramExpression(_expand(w, 2) * self.Q, _expand(w, 1) * self.c)
+
+    def __truediv__(self, d):
+        return GramExpression(self.Q / _expand(d, 2), self.c / _expand(d, 1))
 
     def evaluate(self, gram, scalars):
         """Value on a concrete Gram matrix and scalar assignment."""
@@ -98,22 +105,6 @@ def _expand(w, axes):
     return w
 
 
-def _coeff_vector(weights: Mapping[str, object], batch, exact):
-    v = _zero_array(batch + (_NV,), exact)
-    for sym, w in weights.items():
-        v[..., _VIDX[sym]] = v[..., _VIDX[sym]] + w
-    return v
-
-
-def _batch_of(*params):
-    shapes = [np.shape(p) for p in params if not isinstance(p, Fraction)]
-    batch = ()
-    for s in shapes:
-        if len(s) > len(batch):
-            batch = s
-    return batch
-
-
 # ---------------------------------------------------------------------------
 # Gram symbols as operands of the interp definitions
 
@@ -121,97 +112,56 @@ def _batch_of(*params):
 class _Vec:
     """A vector operand: coefficients over VECTOR_SYMBOLS, (..., 3)."""
 
-    __slots__ = ("a", "unit")
+    __slots__ = ("a",)
     __array_ufunc__ = None  # numpy scalars and arrays defer to __rmul__
 
-    def __init__(self, a, unit):
+    def __init__(self, a):
         self.a = a
-        self.unit = unit
 
     def __add__(self, other):
-        return _Vec(self.a + other.a, self.unit)
+        return _Vec(self.a + other.a)
 
     def __sub__(self, other):
-        return _Vec(self.a - other.a, self.unit)
+        return _Vec(self.a - other.a)
 
     def __rmul__(self, w):
-        return _Vec(_expand(w, 1) * self.a, self.unit)
+        return _Vec(_expand(w, 1) * self.a)
 
     def __matmul__(self, other):
-        return _Form(((self.unit, self.a, other.a),), (), self.unit)
-
-
-class _Form:
-    """A scalar operand, kept lazy: bilinear terms (weight, a, b) standing
-    for weight*<a, b>, plus (symbol, coefficient) pairs over
-    SCALAR_SYMBOLS. The unit (1.0 or Fraction(1)) seeds every weight, so
-    division by an integer stays exact in exact mode."""
-
-    __slots__ = ("terms", "lin", "unit")
-    __array_ufunc__ = None
-
-    def __init__(self, terms, lin, unit):
-        self.terms = terms
-        self.lin = lin
-        self.unit = unit
-
-    def _map(self, op):
-        terms = tuple((op(w), a, b) for w, a, b in self.terms)
-        return _Form(terms, tuple((s, op(w)) for s, w in self.lin), self.unit)
-
-    def __add__(self, other):
-        return _Form(self.terms + other.terms, self.lin + other.lin, self.unit)
-
-    def __sub__(self, other):
-        return self + other._map(operator.neg)
-
-    def __rmul__(self, w):
-        return self._map(lambda v: w * v)
-
-    def __truediv__(self, d):
-        return self._map(lambda v: v / d)
-
-    def expression(self, batch, exact) -> GramExpression:
-        """Materialize Q = sum of weight*sym(a b^T) once, on the batch shape;
-        a symbol repeated in the linear part accumulates."""
-        shape = batch + (_NV, _NV)
-        Q = None
-        for w, a, b in self.terms:
-            P = a[..., :, None] * b[..., None, :]
-            term = (P + np.swapaxes(P, -1, -2)) / 2
-            if w is not self.unit:  # spares exact mode a multiply by one
-                term = _expand(w, 2) * term
-            Q = term if Q is None else Q + term
-        if Q is None:
-            Q = _zero_array(shape, exact)
-        elif Q.shape != shape:
-            Q = np.broadcast_to(Q, shape).copy()
-        c = _zero_array(batch + (_NS,), exact)
-        for sym, w in self.lin:
-            c[..., _SIDX[sym]] = c[..., _SIDX[sym]] + w
-        return GramExpression(Q, c)
+        """<a, b> as the expression Q = sym(a b^T)."""
+        P = self.a[..., :, None] * other.a[..., None, :]
+        Q = (P + np.swapaxes(P, -1, -2)) / 2
+        return GramExpression(Q, _zero_array(_NS, Q.dtype == object))
 
 
 _Point = namedtuple("_Point", "x g fv")
+_Symbols = namedtuple("_Symbols", "g1 g2 s2 f2 h1 h2 x1 zero")
 
 
 def _symbols(exact):
-    unit = _unit(exact)
-    vectors = [_Vec(row, unit) for row in np.eye(_NV, dtype=object if exact else float) * unit]
-    return vectors + [_Form((), ((s, unit),), unit) for s in SCALAR_SYMBOLS]
+    def frozen(a):  # shared by every expression built from the symbols
+        a.flags.writeable = False
+        return a
+
+    one = Fraction(1) if exact else 1.0
+    dtype = object if exact else float
+    vectors = [_Vec(row) for row in frozen(np.eye(_NV, dtype=dtype) * one)]
+    zero_Q = frozen(_zero_array((_NV, _NV), exact))
+    scalars = [GramExpression(zero_Q, row) for row in frozen(np.eye(_NS, dtype=dtype) * one)]
+    zero = GramExpression(zero_Q, frozen(_zero_array(_NS, exact)))
+    return _Symbols(*vectors, *scalars, _Vec(frozen(_zero_array(_NV, exact))), zero)
 
 
-# g1, g2, s2, f2, h1, h2 as operands, for float and exact mode
+# g1, g2, s2, f2, h1, h2, the gauge's x1 = 0 and the zero scalar F* = 0,
+# for float and exact mode
 _SYMBOLS = {exact: _symbols(exact) for exact in (False, True)}
 
 
 def _gram_operands(L, mu, gamma, exact):
-    g1, g2, s2, f2, h1, h2 = _SYMBOLS[exact]
+    g1, g2, s2, f2, h1, h2, x1, zero = _SYMBOLS[exact]
     # the gauge: moving the points, shifting f and h by opposite constants
     # and shifting F and F* together change no constraint, so x1 = 0,
     # f(x1) = 0 and F* = 0, and h1 stands for F(x1) - F*
-    x1 = _Vec(_zero_array(_NV, exact), _unit(exact))
-    zero = _Form((), (), _unit(exact))
     G1 = g1 + s2  # the residual at x1
     x2 = x1 - gamma * G1  # the one substitution of the second iterate
     return {
@@ -238,28 +188,37 @@ _CONSTRAINTS["Eprime1"] = _CONSTRAINTS["E1"]
 CONSTRAINT_NAMES = tuple(_CONSTRAINTS)
 
 
+def _batched(expr: GramExpression, L, mu, gamma) -> GramExpression:
+    """expr with Q and c on the broadcast shape of the parameters."""
+    batch = np.broadcast_shapes(np.shape(L), np.shape(mu), np.shape(gamma))
+
+    def fit(a, shape):
+        return a if a.shape == shape else np.broadcast_to(a, shape).copy()
+
+    return GramExpression(fit(expr.Q, batch + (_NV, _NV)), fit(expr.c, batch + (_NS,)))
+
+
 def build_constraint(name: str, L, mu, gamma) -> GramExpression:
     """Named constraint as a Gram expression: its interp definition
     evaluated on the Gram operands, with x2 substituted out."""
     if name not in _CONSTRAINTS:
         raise DomainError(f"unknown constraint name {name!r}")
     exact = _is_exact(L, mu, gamma)
-    batch = _batch_of(L, mu, gamma)
     if not exact:
         L = np.asarray(L, dtype=float) if np.shape(L) else float(L)
         mu = np.asarray(mu, dtype=float) if np.shape(mu) else float(mu)
         gamma = np.asarray(gamma, dtype=float) if np.shape(gamma) else float(gamma)
     definition, names = _CONSTRAINTS[name]
     operands = _gram_operands(L, mu, gamma, exact)
-    return definition(*(operands[n] for n in names)).expression(batch, exact)
+    return _batched(definition(*(operands[n] for n in names)), L, mu, gamma)
 
 
-def objective_gap_expression(which: str, batch=(), exact=False) -> GramExpression:
+def objective_gap_expression(which: str, exact=False) -> GramExpression:
     """F(x2)-F* for which='final', F(x1)-F* for which='initial'."""
     if which not in ("final", "initial"):
         raise DomainError(f"unknown objective selector {which!r}")
-    _g1, _g2, _s2, f2, h1, h2 = _SYMBOLS[exact]
-    return (f2 + h2 if which == "final" else h1).expression(batch, exact)
+    sym = _SYMBOLS[exact]
+    return sym.f2 + sym.h2 if which == "final" else sym.h1
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +255,22 @@ class Certificate:
         return above & below
 
     def remainder_expression(self, L, mu, gamma) -> GramExpression:
-        exact = _is_exact(L, mu, gamma)
-        batch = _batch_of(L, mu, gamma)
+        """coeff * ||w||^2 with w = sum of weight * vector symbol."""
+        sym = _SYMBOLS[_is_exact(L, mu, gamma)]
         if self.remainder_coeff is None:
-            return _Form((), (), _unit(exact)).expression(batch, exact)
-        v = _Vec(_coeff_vector(self.remainder_weights(L, mu, gamma), batch, exact), _unit(exact))
-        return (self.remainder_coeff(L, mu, gamma) * (v @ v)).expression(batch, exact)
+            return _batched(sym.zero, L, mu, gamma)
+        w = sym.x1  # the zero vector
+        for name, weight in self.remainder_weights(L, mu, gamma).items():
+            w = w + weight * getattr(sym, name)
+        return self.remainder_coeff(L, mu, gamma) * (w @ w)
 
     def weighted_combination(self, L, mu, gamma) -> GramExpression:
         """objective - rho*gap - sum(multiplier * constraint)."""
-        batch, exact = _batch_of(L, mu, gamma), _is_exact(L, mu, gamma)
-        expr = objective_gap_expression("final", batch, exact)
-        expr = expr - objective_gap_expression("initial", batch, exact).scaled(self.rate(L, mu, gamma))
+        exact = _is_exact(L, mu, gamma)
+        expr = objective_gap_expression("final", exact)
+        expr = expr - self.rate(L, mu, gamma) * objective_gap_expression("initial", exact)
         for cname, _label, formula in self.multipliers:
-            expr = expr - build_constraint(cname, L, mu, gamma).scaled(formula(L, mu, gamma))
+            expr = expr - formula(L, mu, gamma) * build_constraint(cname, L, mu, gamma)
         return expr
 
 

@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 usage, 3 domain error, 4 verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -274,9 +273,6 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"error:verification: {exc}", file=sys.stderr)
         return 4
-    except json.JSONDecodeError as exc:
-        print(f"error:domain: bad instance document: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
         return 5

@@ -76,11 +76,14 @@ def parse_policy(text) -> StepPolicy:
     s = str(text).strip()
     if s == "optimal":
         return StepPolicy(label="optimal", kind="optimal")
-    if s.endswith("/L"):
-        head = s[: -len("/L")]
-        mult = math.sqrt(3.0) if head == "sqrt3" else float(head)
-        return StepPolicy(label=s, kind="multiple", value=mult)
-    return StepPolicy(label=f"gamma={float(s):g}", kind="absolute", value=float(s))
+    try:
+        if s.endswith("/L"):
+            head = s[: -len("/L")]
+            mult = math.sqrt(3.0) if head == "sqrt3" else float(head)
+            return StepPolicy(label=s, kind="multiple", value=mult)
+        return StepPolicy(label=f"gamma={float(s):g}", kind="absolute", value=float(s))
+    except ValueError:
+        raise DomainError(f"unknown step policy {s!r}") from None
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,7 @@ class ExperimentSpec:
             raise DomainError("delta must be present exactly for elastic_net")
         if not self.gap_tol > 0:
             raise DomainError(f"gap_tol must be positive, got {self.gap_tol!r}")
+        self.policies()  # a bad policy fails here, before any run
 
     def policies(self) -> list[StepPolicy]:
         raw = self.step_policies or DEFAULT_POLICIES[self.kind]

@@ -60,7 +60,8 @@ class TriplePair:
 # ---------------------------------------------------------------------------
 # (A)-(E) over generic operands: a point has .x, .g (a (sub)gradient) and
 # .fv; vectors meet only through `@` and every constant is an integer, so
-# float vectors, Fraction vectors and Gram symbols all evaluate them.
+# float vectors, Fraction vectors, row stacks and Gram symbols all
+# evaluate them.
 
 
 def smooth_slack(i, j, L):
@@ -150,6 +151,22 @@ def cond_E_prime(i: TriplePair, s_next, fstar: float, mu: float) -> float:
 # trace validation
 
 
+class _Rows:
+    """Stacked vectors, one per row, as an operand of the definitions:
+    `@` is the row-wise dot product."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = a
+
+    def __add__(self, other):
+        return _Rows(self.a + other.a)
+
+    def __matmul__(self, other):
+        return np.einsum("ij,ij->i", self.a, other.a)
+
+
 @dataclass
 class TraceValidation:
     """Worst-case deviations of a trace from the identities it must obey."""
@@ -207,22 +224,16 @@ def validate_trace(
     max_D = max_E = None
     skipped = np.empty(0, dtype=int)
     if fstar is not None and mu is not None:
-        increased = set(int(k) for k in trace.increase_indices)
-        skip = []
-        d_slacks, e_slacks = [], []
-        for i in range(n):
-            if i in increased:
-                skip.append(i)
-                continue
-            F = trace.F_vals[i]
-            e_slacks.append(rpl_slack(F, fstar, np.atleast_1d(trace.residual_norms[i]), mu))
-            if i >= 1:
-                d_slacks.append(pl_slack(F, fstar, g[i], s[i - 1], mu))
-        if skip:
-            log.info("skipped D/E checks at %d iterates where F increased", len(skip))
-        skipped = np.asarray(skip, dtype=int)
-        max_D = float(max(d_slacks)) if d_slacks else None
-        max_E = float(max(e_slacks)) if e_slacks else None
+        keep = np.ones(n, dtype=bool)
+        keep[trace.increase_indices] = False
+        skipped = np.flatnonzero(~keep)
+        if skipped.size:
+            log.info("skipped D/E checks at %d iterates where F increased", skipped.size)
+        F = trace.F_vals
+        e_slacks = rpl_slack(F, fstar, _Rows(trace.residual_norms[:, None]), mu)[keep]
+        d_slacks = pl_slack(F[1:], fstar, _Rows(g[1:]), _Rows(s[:-1]), mu)[keep[1:]]
+        max_D = float(d_slacks.max()) if d_slacks.size else None
+        max_E = float(e_slacks.max()) if e_slacks.size else None
 
     return TraceValidation(
         max_iteration_identity_error=it_err,

@@ -229,18 +229,21 @@ class ProblemData:
 
     @staticmethod
     def from_json(text: str) -> "ProblemData":
-        doc = json.loads(text)
-        n, d = int(doc["n"]), int(doc["d"])
-        A = np.asarray(doc["A"], dtype=float).reshape(n, d)
-        b = np.asarray(doc["b"], dtype=float)
-        return ProblemData(
-            kind=doc["kind"],
-            A=A,
-            b=b,
-            lam=float(doc["lambda"]),
-            delta=None if doc["delta"] is None else float(doc["delta"]),
-            seed=int(doc["seed"]),
-        )
+        """Read a to_json document; DomainError if it is not one."""
+        try:
+            doc = json.loads(text)
+            n, d = int(doc["n"]), int(doc["d"])
+            fields = dict(
+                kind=doc["kind"],
+                A=np.asarray(doc["A"], dtype=float).reshape(n, d),
+                b=np.asarray(doc["b"], dtype=float),
+                lam=float(doc["lambda"]),
+                delta=None if doc["delta"] is None else float(doc["delta"]),
+                seed=int(doc["seed"]),
+            )
+        except (TypeError, KeyError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise DomainError(f"bad instance document: {type(exc).__name__}: {exc}") from None
+        return ProblemData(**fields)
 
 
 def generate_instance(kind, n, d, lam, seed, delta=None) -> ProblemData:

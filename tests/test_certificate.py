@@ -193,6 +193,29 @@ class TestBuildConstraint:
                 assert type(got) is Fraction and type(want) is Fraction, name
                 assert got == want, name
 
+    @pytest.mark.parametrize(
+        "L,mu,gammas",
+        [
+            (1, Fraction(1, 4), (Fraction(1, 4), Fraction(3, 4), Fraction(5, 4), Fraction(7, 4))),
+            (2, Fraction(1, 2), (Fraction(1, 8), Fraction(1, 2), Fraction(7, 8))),
+        ],
+    )
+    def test_float_equals_exact_at_dyadic_parameters(self, L, mu, gammas):
+        # dyadic parameters make every float operation exact, so float mode
+        # and exact mode must give the same numbers, bit for bit
+        L = Fraction(L)
+
+        def same(got, want):
+            return got.dtype == float and np.array_equal(got, want.astype(float))
+
+        for name in cm.CONSTRAINT_NAMES:
+            cases = [(float(L), float(mu), np.array(gammas, dtype=float), np.array(gammas, dtype=object))]
+            cases += [(float(L), float(mu), float(g), g) for g in gammas]
+            for Lf, muf, gf, gx in cases:
+                got = cm.build_constraint(name, Lf, muf, gf)
+                want = cm.build_constraint(name, L, mu, gx)
+                assert same(got.Q, want.Q) and same(got.c, want.c), (name, gf)
+
     def test_batched_matches_pointwise(self):
         grid = np.linspace(0.1, 1.4, 9)
         batched = cm.build_constraint("B12", 1.0, 0.1, grid)

@@ -132,6 +132,21 @@ class TestSolveAndExperiment:
         code, _, err = run_cli(["solve", "--problem", str(bad)], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "[1, 2]",
+            '{"kind": "lasso"}',
+            '{"kind": "lasso", "n": 2, "d": 2, "lambda": 0.1, "delta": null, "seed": 0, "A": [1, 2, 3], "b": [1, 2]}',
+        ],
+        ids=["list", "missing-fields", "A-not-n-by-d"],
+    )
+    def test_solve_non_instance_json_is_domain_error(self, doc, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        code, _, err = run_cli(["solve", "--problem", str(bad)], capsys)
+        assert code == 3 and err.startswith("error:domain: bad instance document:"), err
+
     def test_experiment_outputs(self, tmp_path, capsys):
         outdir = tmp_path / "exp"
         code, out, _ = run_cli(
@@ -226,6 +241,8 @@ class TestDeterminismAndFuzz:
             ["rate", "--fn-class", "convex", "--ineq", "pl", "--L", "1", "--mu", "0.1", "--grid", "0", "--output", "OUT"],
             ["rate", "--fn-class", "convex", "--ineq", "pl", "--L", "0", "--mu", "0.1", "--grid", "5", "--output", "OUT"],
             ["experiment", "--kind", "lasso", "--n", "20", "--d", "4", "--gap-tol", "-1", "--outdir", "OUT"],
+            ["experiment", "--kind", "lasso", "--policies", "foo", "--outdir", "OUT"],
+            ["experiment", "--kind", "lasso", "--policies", "sqrt3", "--outdir", "OUT"],
         ],
     )
     def test_out_of_domain_input_is_a_domain_error(self, argv, tmp_path, capsys):
