@@ -488,10 +488,11 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
     membership is decided in floating point; a closed endpoint computed in
     floating point can lie just outside the interval, where exact mode
     sees the certificate fail, and `interval_grid` keeps its points inside.
-    Requires L > 0 and mu > 0.
+    A NaN fails every check. Requires finite L > 0 and mu > 0; a formula
+    that overflows at them raises DomainError.
     """
-    if not (L > 0 and mu > 0):
-        raise DomainError(f"L and mu must be positive, got L={float(L)!r}, mu={float(mu)!r}")
+    if not (0 < L < math.inf and 0 < mu < math.inf):
+        raise DomainError(f"L and mu must be positive and finite, got L={float(L)!r}, mu={float(mu)!r}")
     gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
     inside = cert.gamma_in_interval(L, gamma_arr)
     if not np.all(inside):
@@ -514,30 +515,35 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
         if bad.any():
             failures.append(f"{message} at gamma={float(gamma_arr[bad.argmax()])!r}")
 
-    values = np.stack([per_gamma(formula(Lx, mux, gx)) for _cname, _label, formula in cert.multipliers])
-    mults = {
-        label: row.astype(float) if row.size > 1 else float(row[0])
-        for (_cname, label, _formula), row in zip(cert.multipliers, values)
-    }
-    min_mult = float(values.min())
-    check(values.min(0) < -mult_tol, f"negative multiplier {min_mult:.3e}")
+    try:  # Python-float powers raise where numpy would return inf
+        values = np.stack([per_gamma(formula(Lx, mux, gx)) for _cname, _label, formula in cert.multipliers])
+        combo = cert.weighted_combination(Lx, mux, gx)
+        remainder = cert.remainder_expression(Lx, mux, gx)
+        coeff = per_gamma(num(0) if cert.remainder_coeff is None else cert.remainder_coeff(Lx, mux, gx))
+        mults = {
+            label: row.astype(float) if row.size > 1 else float(row[0])
+            for (_cname, label, _formula), row in zip(cert.multipliers, values)
+        }
+        min_mult = float(values.astype(float).min())
+    except OverflowError:
+        raise DomainError(f"{cert.case_id} overflows at L={float(L)!r}, mu={float(mu)!r}") from None
 
-    combo = cert.weighted_combination(Lx, mux, gx)
-    remainder = cert.remainder_expression(Lx, mux, gx)
+    check(~(values >= -mult_tol).all(0), f"negative multiplier {min_mult:.3e}")
+
     rel = (combo - remainder).max_abs()
     if np.any(rel):  # relative to the largest term; a zero residual stays zero
         rel = rel / np.maximum(np.maximum(combo.max_abs(), remainder.max_abs()), 1)
     rel = per_gamma(rel)
     rel_residual = float(rel.max())
-    check(rel > identity_tol, f"identity residual {rel_residual:.3e} exceeds {identity_tol:.1e}")
+    check(~(rel <= identity_tol), f"identity residual {rel_residual:.3e} exceeds {identity_tol:.1e}")
 
-    coeff = per_gamma(num(0) if cert.remainder_coeff is None else cert.remainder_coeff(Lx, mux, gx))
-    check(coeff > eig_tol, f"remainder coefficient positive: {float(coeff.max()):.3e}")
+    check(~(coeff <= eig_tol), f"remainder coefficient positive: {float(coeff.max()):.3e}")
     # the remainder is coeff * w w^T, one explicit square: its eigenvalues
     # are 0 and trace = coeff * ||w||^2
     trace = per_gamma(np.trace(remainder.Q, axis1=-2, axis2=-1))
-    max_eig = float(max(0, trace.max()))
-    check(trace > eig_tol, f"remainder not negative semidefinite: max eig {max_eig:.3e}")
+    top = trace.max()
+    max_eig = float(max(0, top))
+    check(~(trace <= eig_tol), f"remainder not negative semidefinite: max eig {float(top):.3e}")
 
     return CertificateCheck(
         case_id=cert.case_id,

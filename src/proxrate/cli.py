@@ -49,10 +49,15 @@ def _add_query_flags(parser, need_gamma=True):
 
 def _gamma_grid(args):
     """None for a --gamma point query; otherwise the --grid points from
-    --gamma-min to --gamma-max, by default 0.01/L to 1.99/L."""
+    --gamma-min to --gamma-max, by default 0.01/L to 1.99/L. The range
+    and --output flags belong to --grid, and a point query refuses them."""
     if (args.gamma is None) == (args.grid is None):
         raise DomainError("pass exactly one of --gamma or --grid")
     if args.gamma is not None:
+        grid_only = {"--gamma-min": args.gamma_min, "--gamma-max": args.gamma_max, "--output": args.output}
+        passed = [flag for flag, value in grid_only.items() if value is not None]
+        if passed:
+            raise DomainError(f"{', '.join(passed)} need --grid, not --gamma")
         return None
     if not args.L > 0:
         raise DomainError(f"L must be positive, got {args.L!r}")

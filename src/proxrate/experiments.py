@@ -68,11 +68,14 @@ class StepPolicy:
 
 
 def parse_policy(text) -> StepPolicy:
-    """Parse 'optimal', '1.5/L', 'sqrt3/L', or an absolute gamma value."""
+    """Parse 'optimal', '1.5/L', 'sqrt3/L', or an absolute gamma value.
+
+    A multiple must lie in (0, 2) and an absolute step must be finite and
+    positive; whether an absolute step stays below 2/L is known only once
+    the instance exists, and `PgmConfig` checks it then.
+    """
     if isinstance(text, StepPolicy):
         return text
-    if isinstance(text, (int, float)):
-        return StepPolicy(label=f"gamma={float(text):g}", kind="absolute", value=float(text))
     s = str(text).strip()
     if s == "optimal":
         return StepPolicy(label="optimal", kind="optimal")
@@ -80,10 +83,16 @@ def parse_policy(text) -> StepPolicy:
         if s.endswith("/L"):
             head = s[: -len("/L")]
             mult = math.sqrt(3.0) if head == "sqrt3" else float(head)
-            return StepPolicy(label=s, kind="multiple", value=mult)
-        return StepPolicy(label=f"gamma={float(s):g}", kind="absolute", value=float(s))
+            policy = StepPolicy(label=s, kind="multiple", value=mult)
+        else:
+            policy = StepPolicy(label=f"gamma={float(s):g}", kind="absolute", value=float(s))
     except ValueError:
         raise DomainError(f"unknown step policy {s!r}") from None
+    if policy.kind == "multiple" and not 0 < policy.value < 2:
+        raise DomainError(f"step policy {s!r}: the multiple of 1/L must lie in (0, 2)")
+    if policy.kind == "absolute" and not 0 < policy.value < math.inf:
+        raise DomainError(f"step policy {s!r}: an absolute step must be finite and positive")
+    return policy
 
 
 @dataclass(frozen=True)
@@ -107,6 +116,8 @@ class ExperimentSpec:
             raise DomainError("delta must be present exactly for elastic_net")
         if not self.gap_tol > 0:
             raise DomainError(f"gap_tol must be positive, got {self.gap_tol!r}")
+        if self.budget < 1:
+            raise DomainError(f"budget must be at least 1, got {self.budget!r}")
         self.policies()  # a bad policy fails here, before any run
 
     def policies(self) -> list[StepPolicy]:

@@ -100,32 +100,28 @@ class SearchInstance:
 
 @dataclass
 class SearchResult:
-    params: SearchParams
+    """Both sides of one solve: the worst-case instance, whose ratio
+    `best_ratio` is the lower bound, and the constraint multipliers with
+    their value `upper`, the upper bound; next to them the analytic rate
+    and the instance's largest constraint slack."""
+
+    instance: SearchInstance
     best_ratio: float
-    instance: SearchInstance
-    analytic_rate: float
-    gap: float
-    restarts_used: int
-    max_slack: float
-
-
-@dataclass(frozen=True)
-class SdpSolution:
-    """Both sides of one solve: the worst-case instance (lower bound) and
-    the multipliers of the constraints with their value (upper bound)."""
-
-    instance: SearchInstance
     upper: float
     multipliers: dict
     iterations: int
+    analytic_rate: float
+    max_slack: float
+
+    restarts_used = 1  # one deterministic solve; the output columns keep the count
 
     @property
-    def lower(self) -> float:
-        return self.instance.ratio
+    def gap(self) -> float:
+        return self.analytic_rate - self.best_ratio
 
     @property
     def duality_gap(self) -> float:
-        return self.upper - self.lower
+        return self.upper - self.best_ratio
 
 
 def _step_to_boundary(X, dX, lam, dlam):
@@ -209,13 +205,18 @@ def _interior_point(AS, AL, CL, h):
     return (*best, it)
 
 
-def solve_one_step(params: SearchParams) -> SdpSolution:
+def search_worst_case(params: SearchParams, restarts=None, budget=None, seed=None) -> SearchResult:
     """The exact worst case of the constraint set, from one SDP solve.
 
     Each constraint set touches all of (g1, g2, s2) and both of (f2, h2);
     a variable that entered no constraint would leave the certificate
-    side without an interior point. Raises VerificationError if the two
-    bounds differ by more than DUALITY_GAP_TOL.
+    side without an interior point. `restarts`, `budget` and `seed` are
+    accepted and not read: they belong to the multistart search this
+    solve replaced, and callers still pass them. Raises VerificationError
+    if the two bounds differ by more than DUALITY_GAP_TOL, if the instance
+    is infeasible beyond FEASIBILITY_TOL, or if its ratio exceeds the
+    analytic rate beyond SOUNDNESS_SLACK (that would mean the constraint
+    encoding and the certificates disagree).
     """
     p = params
     exprs = [build_constraint(name, p.L, p.mu, p.gamma) for name in p.constraint_names]
@@ -246,79 +247,44 @@ def solve_one_step(params: SearchParams) -> SdpSolution:
     V = vecs * np.sqrt(np.maximum(w, 0.0))
     f2, h2 = (float(v) for v in y[len(k) :])
     instance = SearchInstance(p, V, f2, h2)
-    solution = SdpSolution(instance, float(b @ lam), dict(zip(p.constraint_names, map(float, lam))), iterations)
-    if not abs(solution.duality_gap) <= DUALITY_GAP_TOL:
+    lower, upper = instance.ratio, float(b @ lam)
+    if not abs(upper - lower) <= DUALITY_GAP_TOL:
         raise VerificationError(
             f"one-step SDP for {p.fn_class}/{p.ineq} at gamma={p.gamma!r} did not converge: "
-            f"bounds {solution.lower!r} and {solution.upper!r} after {iterations} iterations"
+            f"bounds {lower!r} and {upper!r} after {iterations} iterations"
         )
-    return solution
-
-
-def search_worst_case(params: SearchParams, restarts=None, budget=None, seed=None) -> SearchResult:
-    """The worst-case gap ratio of the constraint set, from `solve_one_step`.
-
-    `restarts`, `budget` and `seed` are accepted and not read: they
-    belong to the multistart search this solve replaced, and callers
-    still pass them. The solve is deterministic and `restarts_used` is 1.
-    Raises if the instance is infeasible beyond FEASIBILITY_TOL,
-    and raises if its ratio exceeds the analytic rate beyond tolerance
-    (that would mean the constraint encoding and the certificates
-    disagree).
-    """
-    p = params
-    instance = solve_one_step(p).instance
-    max_slack = max(instance.slacks().values())
+    gram, scalars = instance.gram, instance.scalars
+    max_slack = max(float(e.evaluate(gram, scalars)) for e in exprs)
     if not max_slack <= FEASIBILITY_TOL:
         raise VerificationError(
             f"worst-case instance for {p.fn_class}/{p.ineq} at gamma={p.gamma!r} is infeasible "
             f"(max slack {max_slack:.3e}, tol {FEASIBILITY_TOL:.1e})"
         )
     analytic = rate_formula(p.fn_class, p.ineq, p.L, p.mu, p.gamma).rho
-    best_ratio = instance.ratio
-    if best_ratio > analytic + SOUNDNESS_SLACK:
+    if not lower <= analytic + SOUNDNESS_SLACK:
         raise VerificationError(
-            f"searched ratio {best_ratio!r} exceeds analytic rate {analytic!r} "
+            f"searched ratio {lower!r} exceeds analytic rate {analytic!r} "
             f"for {p.fn_class}/{p.ineq} at gamma={p.gamma!r}"
         )
-    return SearchResult(
-        params=p,
-        best_ratio=best_ratio,
-        instance=instance,
-        analytic_rate=analytic,
-        gap=analytic - best_ratio,
-        restarts_used=1,
-        max_slack=max_slack,
-    )
+    multipliers = dict(zip(p.constraint_names, map(float, lam)))
+    return SearchResult(instance, lower, upper, multipliers, iterations, analytic, max_slack)
 
 
-@dataclass(frozen=True)
-class TightnessRow:
-    gamma: float
-    analytic_rate: float
-    searched_ratio: float
-    gap: float
-    restarts_used: int
-
-
-def tightness_curve(fn_class: str, ineq: str, L: float, mu: float, gamma_grid: Sequence[float]) -> list[TightnessRow]:
+def tightness_curve(fn_class: str, ineq: str, L: float, mu: float, gamma_grid: Sequence[float]) -> list[SearchResult]:
     """Search at every point of a gamma grid.
 
     Gaps above the reporting tolerance are findings, not failures; only
     soundness violations raise.
     """
-    rows = []
-    for g in np.asarray(gamma_grid, dtype=float):
-        result = search_worst_case(SearchParams(fn_class, ineq, L, mu, float(g)))
-        rows.append(TightnessRow(float(g), result.analytic_rate, result.best_ratio, result.gap, result.restarts_used))
-    return rows
+    grid = np.asarray(gamma_grid, dtype=float)
+    return [search_worst_case(SearchParams(fn_class, ineq, L, mu, float(g))) for g in grid]
 
 
-def write_tightness_csv(path, rows: Sequence[TightnessRow]):
+def write_tightness_csv(path, rows: Sequence[SearchResult]):
     from .tableio import write_csv
 
     write_csv(
         path,
         ["gamma", "analytic_rate", "searched_ratio", "gap", "restarts_used"],
-        [[r.gamma, r.analytic_rate, r.searched_ratio, r.gap, r.restarts_used] for r in rows],
+        [[r.instance.params.gamma, r.analytic_rate, r.best_ratio, r.gap, r.restarts_used] for r in rows],
     )

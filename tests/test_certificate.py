@@ -330,6 +330,31 @@ class TestVerification:
         chk = cm.verify_certificate(bad, 1.0, 0.1, 0.9)
         assert any("negative multiplier" in f for f in chk.failures)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_nan_multiplier_fails(self, exact):
+        cert = cm.certificate_for("Thm3.2-case1")
+        bad = dataclasses.replace(
+            cert,
+            multipliers=tuple(
+                (cname, label, (lambda L, m, g: math.nan) if label == "alpha2" else fn)
+                for (cname, label, fn) in cert.multipliers
+            ),
+        )
+        chk = cm.verify_certificate(bad, 1.0, 0.1, 0.9, exact=exact)
+        assert not chk.ok
+        assert any("negative multiplier" in f for f in chk.failures)
+
+    @pytest.mark.parametrize("L, mu", [(1.0, math.inf), (math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan)])
+    def test_non_finite_parameters_rejected(self, L, mu):
+        with pytest.raises(DomainError, match="finite"):
+            cm.verify_certificate(cm.certificate_for("Thm3.2-case1"), L, mu, 0.9)
+
+    def test_overflow_is_a_domain_error(self):
+        # alpha2's L**2 overflows as a Python float
+        cert = cm.certificate_for("Thm3.2-case2")
+        with pytest.raises(DomainError, match="overflows"):
+            cm.verify_certificate(cert, 1e160, 1e159, 1.7e-160)
+
 
 class TestSweep:
     def test_summary_fields(self):

@@ -243,6 +243,10 @@ class TestDeterminismAndFuzz:
             ["experiment", "--kind", "lasso", "--n", "20", "--d", "4", "--gap-tol", "-1", "--outdir", "OUT"],
             ["experiment", "--kind", "lasso", "--policies", "foo", "--outdir", "OUT"],
             ["experiment", "--kind", "lasso", "--policies", "sqrt3", "--outdir", "OUT"],
+            ["certify", "--L", "1", "--mu", "inf"],
+            ["certify", "--L", "1e160", "--mu", "1e159", "--grid", "3"],
+            ["rate", "--fn-class", "convex", "--ineq", "pl", "--L", "1", "--mu", "0.1", "--gamma", "1", "--output", "OUT"],
+            [*PEP_SEARCH, "--L", "1", "--mu", "0.1", "--gamma", "1", "--gamma-min", "0.5"],
         ],
     )
     def test_out_of_domain_input_is_a_domain_error(self, argv, tmp_path, capsys):

@@ -48,6 +48,19 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             ExperimentSpec(kind="elastic_net")
 
+    @pytest.mark.parametrize(
+        "policies, budget",
+        [
+            *((["1/L", bad], 100) for bad in ("-1/L", "nan/L", "inf/L", "2/L", "0", "-0.5", "inf", "nan")),
+            ([float("nan")], 100),
+            ([-0.5], 100),
+            (["1/L"], 0),
+        ],
+    )
+    def test_bad_policy_or_budget_refused_before_any_run(self, policies, budget):
+        with pytest.raises(DomainError):
+            ExperimentSpec(kind="lasso", step_policies=policies, budget=budget)
+
 
 class TestContractionHelpers:
     def test_constant_trace_has_no_factors(self):

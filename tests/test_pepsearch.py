@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from proxrate.errors import DomainError
+from proxrate import pepsearch
+from proxrate.errors import DomainError, VerificationError
 from proxrate.interp import Triple, TriplePair, cond_A, cond_B, cond_C, cond_D, cond_E
 from proxrate.pepsearch import (
     CONSTRAINT_SETS,
@@ -9,7 +12,6 @@ from proxrate.pepsearch import (
     FEASIBILITY_TOL,
     SearchParams,
     search_worst_case,
-    solve_one_step,
     tightness_curve,
     write_tightness_csv,
 )
@@ -117,7 +119,7 @@ class TestExactSolve:
         res = search_worst_case(params)
         assert res.best_ratio == pytest.approx(0.8866639, abs=1e-7)
         assert res.gap == pytest.approx(1.2858e-4, abs=1e-7)
-        lam = solve_one_step(params).multipliers
+        lam = res.multipliers
         assert lam["B12"] == pytest.approx(0.9456, abs=1e-4)
         assert lam["C12"] == pytest.approx(lam["B12"], abs=1e-8)
         assert lam["E1"] == pytest.approx(0.0589, abs=1e-4)
@@ -131,11 +133,31 @@ class TestExactSolve:
                 L = float(np.exp(gen.uniform(-2.0, 3.0)))
                 mu = L * float(gen.uniform(0.005, 0.995))
                 g = float(gen.uniform(0.005, 1.995)) / L
-                sol = solve_one_step(SearchParams(fn_class, ineq, L, mu, g))
+                sol = search_worst_case(SearchParams(fn_class, ineq, L, mu, g))
                 case = (fn_class, ineq, L, mu, g)
                 assert sol.instance.feasible, case
-                assert sol.lower <= rate_formula(fn_class, ineq, L, mu, g).rho + 1e-6, case
+                assert sol.best_ratio <= rate_formula(fn_class, ineq, L, mu, g).rho + 1e-6, case
                 assert abs(sol.duality_gap) <= DUALITY_GAP_TOL, case
+
+
+class TestGates:
+    # each gate of the one solve raises and names what failed
+    PARAMS = SearchParams("convex", "pl", 1.0, 0.1, 1.0)
+
+    def test_duality_gap_gate(self, monkeypatch):
+        monkeypatch.setattr(pepsearch, "DUALITY_GAP_TOL", -1.0)
+        with pytest.raises(VerificationError, match="did not converge"):
+            search_worst_case(self.PARAMS)
+
+    def test_feasibility_gate(self, monkeypatch):
+        monkeypatch.setattr(pepsearch, "FEASIBILITY_TOL", -1e-3)
+        with pytest.raises(VerificationError, match="infeasible"):
+            search_worst_case(self.PARAMS)
+
+    def test_soundness_gate(self, monkeypatch):
+        monkeypatch.setattr(pepsearch, "rate_formula", lambda *args: SimpleNamespace(rho=0.5))
+        with pytest.raises(VerificationError, match="exceeds analytic rate"):
+            search_worst_case(self.PARAMS)
 
 
 class TestTightnessCurve:
