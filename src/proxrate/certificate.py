@@ -18,8 +18,10 @@ remainder; verification checks, per gamma,
     objective - rho*gap - sum(multiplier_i * constraint_i) == remainder,
 
 multiplier nonnegativity, and nonpositivity of the remainder form.
-Coefficient formulas are rational in (L, mu, gamma), so an exact mode
-runs the same checks in Fraction arithmetic at rational parameter values.
+Dividing f and h by L moves (L, mu, gamma) to (1, q, t) and scales every
+constraint and both gaps by 1/L, so the formulas are rational in the
+scale-free (t, q) = (L*gamma, mu/L) and verification runs at L = 1; an
+exact mode runs the same checks in Fraction arithmetic.
 """
 from __future__ import annotations
 
@@ -227,74 +229,71 @@ def objective_gap_expression(which: str, exact=False) -> GramExpression:
 
 @dataclass(frozen=True)
 class Certificate:
-    """One theorem case: multipliers, rate, remainder, and gamma interval."""
+    """One theorem case: multipliers, rate and remainder as formulas of
+    (t, q), the remainder coefficient being the one at L = 1, and the
+    interval of t."""
 
     case_id: str
     fn_class: str
     ineq: str
     # (constraint name, multiplier label, multiplier formula)
     multipliers: tuple
-    rate: Callable
+    rho: Callable
     # remainder = coeff * ||sum_w w_sym * sym||^2; None means identically zero
     remainder_coeff: Optional[Callable]
     remainder_weights: Optional[Callable]
-    interval: Callable  # L -> (lo, hi, lo_closed, hi_closed)
+    interval: tuple  # (lo, hi, lo_closed, hi_closed) in t
     check_kind: str  # "equality" | "inequality-chain"
 
+    def rate(self, L, mu, gamma):
+        """The rate at (L, mu, gamma), through (t, q)."""
+        return self.rho(L * gamma, mu / L)
+
     def gamma_in_interval(self, L, gamma) -> np.ndarray:
-        lo, hi, lo_closed, hi_closed = self.interval(float(L))
-        g = np.asarray(gamma, dtype=float)
+        lo, hi, lo_closed, hi_closed = self.interval
+        t = float(L) * np.asarray(gamma, dtype=float)
         tol = 1e-12
-        if lo_closed and lo > 0:
-            above = g >= lo * (1 - tol)
-        elif lo > 0:
-            above = g > lo * (1 + tol)
-        else:
-            above = g > 0
-        below = g <= hi * (1 + tol) if hi_closed else g < hi * (1 - tol)
+        above = t >= lo * (1 - tol) if lo_closed else t > lo * (1 + tol)
+        below = t <= hi * (1 + tol) if hi_closed else t < hi * (1 - tol)
         return above & below
 
-    def remainder_expression(self, L, mu, gamma) -> GramExpression:
+    def remainder_expression(self, t, q) -> GramExpression:
         """coeff * ||w||^2 with w = sum of weight * vector symbol."""
-        sym = _SYMBOLS[_is_exact(L, mu, gamma)]
+        sym = _SYMBOLS[_is_exact(t, q)]
         if self.remainder_coeff is None:
-            return _batched(sym.zero, L, mu, gamma)
+            return _batched(sym.zero, 1, q, t)
         w = sym.x1  # the zero vector
-        for name, weight in self.remainder_weights(L, mu, gamma).items():
+        for name, weight in self.remainder_weights(t, q).items():
             w = w + weight * getattr(sym, name)
-        return self.remainder_coeff(L, mu, gamma) * (w @ w)
+        return self.remainder_coeff(t, q) * (w @ w)
 
-    def weighted_combination(self, L, mu, gamma) -> GramExpression:
-        """objective - rho*gap - sum(multiplier * constraint)."""
-        exact = _is_exact(L, mu, gamma)
+    def weighted_combination(self, t, q) -> GramExpression:
+        """objective - rho*gap - sum(multiplier * constraint), at L = 1."""
+        exact = _is_exact(t, q)
         expr = objective_gap_expression("final", exact)
-        expr = expr - self.rate(L, mu, gamma) * objective_gap_expression("initial", exact)
+        expr = expr - self.rho(t, q) * objective_gap_expression("initial", exact)
         for cname, _label, formula in self.multipliers:
-            expr = expr - formula(L, mu, gamma) * build_constraint(cname, L, mu, gamma)
+            expr = expr - formula(t, q) * build_constraint(cname, 1, q, t)
         return expr
 
 
-def _den31_1(L, mu, g):
-    return (L * g + 1) ** 2 + L * g**2 * mu + 2 * g * mu
+def _den31_1(t, q):
+    return (t + 1) ** 2 + t**2 * q + 2 * t * q
 
 
-def _den_large(L, mu, g):
-    return (L * g - 1) ** 2 - L * g**2 * mu + 2 * g * mu
-
-
-def _interval(lo_fn, hi_fn, lo_closed, hi_closed):
-    return lambda L: (lo_fn(L), hi_fn(L), lo_closed, hi_closed)
+def _den_large(t, q):
+    return (t - 1) ** 2 - t**2 * q + 2 * t * q
 
 
 _SQRT3 = math.sqrt(3.0)
 
 
-def _large_step_weights(L, m, g):
-    return {"g1": L * g - 1, "s2": L * g, "g2": 1}
+def _large_step_weights(t, q):
+    return {"g1": t - 1, "s2": t, "g2": 1}
 
 
 def _large_step(case_id, fn_class, ineq, names, remainder_coeff, lo, check_kind) -> Certificate:
-    """The step-size proof shared by the cases on (lo/L, 2/L): the same
+    """The step-size proof shared by the cases on t in (lo, 2): the same
     multipliers on a smoothness pair, C12 and the modulus constraint
     (`names`, in that order), the same rate and the same remainder
     square; only its coefficient differs."""
@@ -304,15 +303,15 @@ def _large_step(case_id, fn_class, ineq, names, remainder_coeff, lo, check_kind)
         fn_class=fn_class,
         ineq=ineq,
         multipliers=(
-            (a1, "alpha1", lambda L, m, g: (L * g - 1) / _den_large(L, m, g)),
-            (a2, "alpha2", lambda L, m, g: (-(L**2) * g**2 + 3 * L * g - 2) / _den_large(L, m, g)),
-            (b1, "beta1", lambda L, m, g: (L * g - 1) ** 2 / _den_large(L, m, g)),
-            (l1, "lambda1", lambda L, m, g: (-L * g**2 * m + 2 * g * m) / _den_large(L, m, g)),
+            (a1, "alpha1", lambda t, q: (t - 1) / _den_large(t, q)),
+            (a2, "alpha2", lambda t, q: (-(t**2) + 3 * t - 2) / _den_large(t, q)),
+            (b1, "beta1", lambda t, q: (t - 1) ** 2 / _den_large(t, q)),
+            (l1, "lambda1", lambda t, q: (-(t**2) * q + 2 * t * q) / _den_large(t, q)),
         ),
-        rate=lambda L, m, g: (L * g - 1) ** 2 / _den_large(L, m, g),
+        rho=lambda t, q: (t - 1) ** 2 / _den_large(t, q),
         remainder_coeff=remainder_coeff,
         remainder_weights=_large_step_weights,
-        interval=_interval(lambda L: lo / L, lambda L: 2.0 / L, False, False),
+        interval=(lo, 2.0, False, False),
         check_kind=check_kind,
     )
 
@@ -327,15 +326,15 @@ def certificate_catalog() -> list[Certificate]:
             fn_class="nonconvex",
             ineq="pl",
             multipliers=(
-                ("A12", "alpha1", lambda L, m, g: (L**2 * g**2 + 3 * L * g + 2) / _den31_1(L, m, g)),
-                ("A21", "alpha2", lambda L, m, g: (L * g + 1) / _den31_1(L, m, g)),
-                ("C12", "beta1", lambda L, m, g: (L * g + 1) ** 2 / _den31_1(L, m, g)),
-                ("D2", "lambda1", lambda L, m, g: (L * g**2 * m + 2 * g * m) / _den31_1(L, m, g)),
+                ("A12", "alpha1", lambda t, q: (t**2 + 3 * t + 2) / _den31_1(t, q)),
+                ("A21", "alpha2", lambda t, q: (t + 1) / _den31_1(t, q)),
+                ("C12", "beta1", lambda t, q: (t + 1) ** 2 / _den31_1(t, q)),
+                ("D2", "lambda1", lambda t, q: (t**2 * q + 2 * t * q) / _den31_1(t, q)),
             ),
-            rate=lambda L, m, g: (L * g + 1) ** 2 / _den31_1(L, m, g),
-            remainder_coeff=lambda L, m, g: (L**2 * g**2 - 3) / (4 * L * _den31_1(L, m, g)),
-            remainder_weights=lambda L, m, g: {"g1": L * g + 1, "s2": L * g, "g2": -1},
-            interval=_interval(lambda L: 0.0, lambda L: _SQRT3 / L, False, True),
+            rho=lambda t, q: (t + 1) ** 2 / _den31_1(t, q),
+            remainder_coeff=lambda t, q: (t**2 - 3) / (4 * _den31_1(t, q)),
+            remainder_weights=lambda t, q: {"g1": t + 1, "s2": t, "g2": -1},
+            interval=(0.0, _SQRT3, False, True),
             check_kind="equality",
         )
     )
@@ -343,7 +342,7 @@ def certificate_catalog() -> list[Certificate]:
     cat.append(
         _large_step(
             "Thm3.1-case2", "nonconvex", "pl", ("A12", "A21", "C12", "D2"),
-            lambda L, m, g: (3 - L**2 * g**2) / (4 * L * _den_large(L, m, g)),
+            lambda t, q: (3 - t**2) / (4 * _den_large(t, q)),
             _SQRT3, "equality",
         )
     )
@@ -354,15 +353,15 @@ def certificate_catalog() -> list[Certificate]:
             fn_class="convex",
             ineq="pl",
             multipliers=(
-                ("B12", "alpha1", lambda L, m, g: 2 / (2 * g * m + 1)),
-                ("B21", "alpha2", lambda L, m, g: 1 / (2 * g * m + 1)),
-                ("C12", "beta1", lambda L, m, g: 1 / (2 * g * m + 1)),
-                ("D2", "lambda1", lambda L, m, g: 2 * g * m / (2 * g * m + 1)),
+                ("B12", "alpha1", lambda t, q: 2 / (2 * t * q + 1)),
+                ("B21", "alpha2", lambda t, q: 1 / (2 * t * q + 1)),
+                ("C12", "beta1", lambda t, q: 1 / (2 * t * q + 1)),
+                ("D2", "lambda1", lambda t, q: 2 * t * q / (2 * t * q + 1)),
             ),
-            rate=lambda L, m, g: 1 / (2 * g * m + 1),
-            remainder_coeff=lambda L, m, g: (2 * L * g - 3) / (2 * L * (2 * g * m + 1)),
-            remainder_weights=lambda L, m, g: {"g1": 1, "g2": -1},
-            interval=_interval(lambda L: 0.0, lambda L: 1.5 / L, False, True),
+            rho=lambda t, q: 1 / (2 * t * q + 1),
+            remainder_coeff=lambda t, q: (2 * t - 3) / (2 * (2 * t * q + 1)),
+            remainder_weights=lambda t, q: {"g1": 1, "g2": -1},
+            interval=(0.0, 1.5, False, True),
             check_kind="equality",
         )
     )
@@ -370,7 +369,7 @@ def certificate_catalog() -> list[Certificate]:
     cat.append(
         _large_step(
             "Thm3.2-case2", "convex", "pl", ("B12", "B21", "C12", "D2"),
-            lambda L, m, g: (3 - 2 * L * g) / (2 * L * _den_large(L, m, g)),
+            lambda t, q: (3 - 2 * t) / (2 * _den_large(t, q)),
             1.5, "equality",
         )
     )
@@ -381,14 +380,15 @@ def certificate_catalog() -> list[Certificate]:
             fn_class="nonconvex",
             ineq="rpl",
             multipliers=(
-                ("A12", "alpha1", lambda L, m, g: 1),
-                ("C12", "beta1", lambda L, m, g: 1),
-                ("Eprime1", "lambda1", lambda L, m, g: (m - m * (L * g - 1) ** 2) / L),
+                ("A12", "alpha1", lambda t, q: 1),
+                ("C12", "beta1", lambda t, q: 1),
+                ("Eprime1", "lambda1", lambda t, q: q - q * (t - 1) ** 2),
             ),
-            rate=lambda L, m, g: (L + m * (L * g - 1) ** 2 - m) / L,
-            remainder_coeff=lambda L, m, g: -1 / (4 * L),
+            rho=lambda t, q: 1 + q * (t - 1) ** 2 - q,
+            # 0*t carries t's number type, so exact mode keeps a Fraction
+            remainder_coeff=lambda t, q: (0 * t - 1) / 4,
             remainder_weights=_large_step_weights,
-            interval=_interval(lambda L: 0.0, lambda L: 2.0 / L, False, False),
+            interval=(0.0, 2.0, False, False),
             check_kind="equality",
         )
     )
@@ -399,15 +399,15 @@ def certificate_catalog() -> list[Certificate]:
             fn_class="convex",
             ineq="rpl",
             multipliers=(
-                ("B12", "alpha1", lambda L, m, g: 1 / (1 + g * m)),
-                ("C12", "beta1", lambda L, m, g: 1 / (1 + g * m)),
-                ("E1", "lambda1", lambda L, m, g: g * m / (1 + g * m)),
-                ("E2", "lambda2", lambda L, m, g: g * m / (1 + g * m)),
+                ("B12", "alpha1", lambda t, q: 1 / (1 + t * q)),
+                ("C12", "beta1", lambda t, q: 1 / (1 + t * q)),
+                ("E1", "lambda1", lambda t, q: t * q / (1 + t * q)),
+                ("E2", "lambda2", lambda t, q: t * q / (1 + t * q)),
             ),
-            rate=lambda L, m, g: (1 - g * m) / (1 + g * m),
-            remainder_coeff=lambda L, m, g: (L * g - 1) / (2 * L * (1 + g * m)),
-            remainder_weights=lambda L, m, g: {"g1": 1, "g2": -1},
-            interval=_interval(lambda L: 0.0, lambda L: 1.0 / L, False, True),
+            rho=lambda t, q: (1 - t * q) / (1 + t * q),
+            remainder_coeff=lambda t, q: (t - 1) / (2 * (1 + t * q)),
+            remainder_weights=lambda t, q: {"g1": 1, "g2": -1},
+            interval=(0.0, 1.0, False, True),
             check_kind="inequality-chain",
         )
     )
@@ -418,16 +418,16 @@ def certificate_catalog() -> list[Certificate]:
             fn_class="convex",
             ineq="rpl",
             multipliers=(
-                ("B12", "alpha1", lambda L, m, g: 1 / (-L * g + g * m + 2)),
-                ("B21", "alpha2", lambda L, m, g: (L * g - 1) / (-L * g + g * m + 2)),
-                ("C12", "beta1", lambda L, m, g: (-L * g + 2) / (-L * g + g * m + 2)),
-                ("E1", "lambda1", lambda L, m, g: g * m * (-2 * L * g + 3) / (-L * g + g * m + 2)),
-                ("E2", "lambda2", lambda L, m, g: g * m / (-L * g + g * m + 2)),
+                ("B12", "alpha1", lambda t, q: 1 / (-t + t * q + 2)),
+                ("B21", "alpha2", lambda t, q: (t - 1) / (-t + t * q + 2)),
+                ("C12", "beta1", lambda t, q: (-t + 2) / (-t + t * q + 2)),
+                ("E1", "lambda1", lambda t, q: t * q * (-2 * t + 3) / (-t + t * q + 2)),
+                ("E2", "lambda2", lambda t, q: t * q / (-t + t * q + 2)),
             ),
-            rate=lambda L, m, g: (2 * L * g**2 * m - L * g - 3 * g * m + 2) / (-L * g + g * m + 2),
+            rho=lambda t, q: (2 * t**2 * q - t - 3 * t * q + 2) / (-t + t * q + 2),
             remainder_coeff=None,
             remainder_weights=None,
-            interval=_interval(lambda L: 1.0 / L, lambda L: 1.5 / L, False, True),
+            interval=(1.0, 1.5, False, True),
             check_kind="inequality-chain",
         )
     )
@@ -435,7 +435,7 @@ def certificate_catalog() -> list[Certificate]:
     cat.append(
         _large_step(
             "Thm4.2-case3", "convex", "rpl", ("B12", "B21", "C12", "E2"),
-            lambda L, m, g: (3 - 2 * L * g) / (2 * L * _den_large(L, m, g)),
+            lambda t, q: (3 - 2 * t) / (2 * _den_large(t, q)),
             1.5, "inequality-chain",
         )
     )
@@ -481,18 +481,18 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
 
     The parameters are converted once, to Fractions in exact mode (binary
     floats are exact rationals) and to floats otherwise, and every check
-    is decided per gamma in that arithmetic: multipliers >= -tol, relative
-    identity residual <= tol, remainder coefficient <= tol and remainder
-    eigenvalue <= tol, with tol = 0 in exact mode and the module constants
-    in float mode. Each failure names the first failing gamma. Interval
-    membership is decided in floating point; a closed endpoint computed in
-    floating point can lie just outside the interval, where exact mode
-    sees the certificate fail, and `interval_grid` keeps its points inside.
-    A NaN fails every check. Requires finite L > 0 and mu > 0; a formula
-    that overflows at them raises DomainError.
+    is decided per gamma at (1, mu/L, L*gamma) in that arithmetic:
+    multipliers >= -tol, relative identity residual <= tol, remainder
+    coefficient <= tol and remainder eigenvalue <= tol, with tol = 0 in
+    exact mode and the module constants in float mode. Each failure names
+    the first failing gamma. Interval membership is decided on L*gamma in
+    floating point; a closed endpoint computed in floating point can lie
+    just outside the interval, where exact mode sees the certificate fail,
+    and `interval_grid` keeps its points inside. A NaN fails every check.
+    Requires finite L > 0 and mu > 0 with a finite, nonzero float mu/L.
     """
-    if not (0 < L < math.inf and 0 < mu < math.inf):
-        raise DomainError(f"L and mu must be positive and finite, got L={float(L)!r}, mu={float(mu)!r}")
+    if not (0 < L < math.inf and 0 < mu < math.inf and 0 < float(mu) / float(L) < math.inf):
+        raise DomainError(f"L, mu and mu/L must be positive and finite, got L={float(L)!r}, mu={float(mu)!r}")
     gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
     inside = cert.gamma_in_interval(L, gamma_arr)
     if not np.all(inside):
@@ -503,8 +503,9 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
         num, dtype, mult_tol, identity_tol, eig_tol = Fraction, object, 0, 0, 0
     else:
         num, dtype, mult_tol, identity_tol, eig_tol = float, float, MULTIPLIER_TOL, IDENTITY_TOL, EIGENVALUE_TOL
-    Lx, mux = num(float(L)), num(float(mu))
-    gx = np.array([num(g) for g in gamma_arr], dtype=dtype) if np.ndim(gamma) else num(gamma_arr[0])
+    Lx = num(float(L))
+    q = num(float(mu)) / Lx
+    t = np.array([Lx * num(g) for g in gamma_arr], dtype=dtype) if np.ndim(gamma) else Lx * num(gamma_arr[0])
 
     def per_gamma(value):
         return np.broadcast_to(np.asarray(value, dtype=dtype), gamma_arr.shape)
@@ -515,18 +516,15 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
         if bad.any():
             failures.append(f"{message} at gamma={float(gamma_arr[bad.argmax()])!r}")
 
-    try:  # Python-float powers raise where numpy would return inf
-        values = np.stack([per_gamma(formula(Lx, mux, gx)) for _cname, _label, formula in cert.multipliers])
-        combo = cert.weighted_combination(Lx, mux, gx)
-        remainder = cert.remainder_expression(Lx, mux, gx)
-        coeff = per_gamma(num(0) if cert.remainder_coeff is None else cert.remainder_coeff(Lx, mux, gx))
-        mults = {
-            label: row.astype(float) if row.size > 1 else float(row[0])
-            for (_cname, label, _formula), row in zip(cert.multipliers, values)
-        }
-        min_mult = float(values.astype(float).min())
-    except OverflowError:
-        raise DomainError(f"{cert.case_id} overflows at L={float(L)!r}, mu={float(mu)!r}") from None
+    values = np.stack([per_gamma(formula(t, q)) for _cname, _label, formula in cert.multipliers])
+    combo = cert.weighted_combination(t, q)
+    remainder = cert.remainder_expression(t, q)
+    coeff = per_gamma(num(0) if cert.remainder_coeff is None else cert.remainder_coeff(t, q))
+    mults = {
+        label: row.astype(float) if row.size > 1 else float(row[0])
+        for (_cname, label, _formula), row in zip(cert.multipliers, values)
+    }
+    min_mult = float(values.astype(float).min())
 
     check(~(values >= -mult_tol).all(0), f"negative multiplier {min_mult:.3e}")
 
@@ -589,10 +587,11 @@ def interval_grid(cert: Certificate, L: float, n: int) -> np.ndarray:
     """n >= 1 gammas spanning the case interval at L > 0, shrunk by
     GRID_MARGIN at open endpoints. A closed endpoint is moved one ulp
     inward: its float value can round to just outside the interval, where
-    exact arithmetic sees the certificate fail."""
-    if not (L > 0 and n >= 1):
-        raise DomainError(f"interval grid needs L > 0 and n >= 1, got L={float(L)!r}, n={n!r}")
-    lo, hi, lo_closed, hi_closed = cert.interval(L)
+    exact arithmetic sees the certificate fail. L must leave 2/L finite."""
+    if not (L > 0 and 2.0 / float(L) < math.inf and n >= 1):
+        raise DomainError(f"interval grid needs L > 0 with 2/L finite and n >= 1, got L={float(L)!r}, n={n!r}")
+    lo, hi, lo_closed, hi_closed = cert.interval
+    lo, hi = lo / L, hi / L
     span = hi - lo
     a = np.nextafter(lo, hi) if lo_closed and lo > 0 else lo + GRID_MARGIN * span
     b = np.nextafter(hi, lo) if hi_closed else hi - GRID_MARGIN * span

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage, 3 domain error, 4 verification failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -59,8 +60,8 @@ def _gamma_grid(args):
         if passed:
             raise DomainError(f"{', '.join(passed)} need --grid, not --gamma")
         return None
-    if not args.L > 0:
-        raise DomainError(f"L must be positive, got {args.L!r}")
+    if not (args.L > 0 and 2.0 / args.L < math.inf):
+        raise DomainError(f"L must be positive with 2/L finite, got {args.L!r}")
     if args.grid < 1:
         raise DomainError(f"--grid needs at least 1 point, got {args.grid}")
     lo = args.gamma_min if args.gamma_min is not None else 0.01 / args.L
@@ -105,8 +106,8 @@ def cmd_certify(args):
             chk = cert_mod.verify_certificate(cert, args.L, args.mu, mid, exact=True)
             if not chk.ok:
                 raise VerificationError(f"{case_id} exact check failed: {chk.failures}")
-        lo, hi, lo_closed, hi_closed = cert.interval(args.L)
-        interval = f"{'[' if lo_closed else '('}{lo:.12g}, {hi:.12g}{']' if hi_closed else ')'}"
+        lo, hi, lo_closed, hi_closed = cert.interval
+        interval = f"{'[' if lo_closed else '('}{lo / args.L:.12g}, {hi / args.L:.12g}{']' if hi_closed else ')'}"
         lines.append(
             f"case={s.case_id} interval={interval} points={s.n_points} "
             f"worst_identity_residual={s.worst_identity_residual:.3e} "

@@ -120,29 +120,25 @@ def rpl_convex_interior_step(L, mu):
 
 
 def optimal_step(fn_class, ineq, L, mu) -> OptimalStep:
-    """Step size minimizing the worst-case rate over (0, 2/L)."""
+    """Step size minimizing the worst-case rate over (0, 2/L), for mu <= L."""
     if not L > 0 or not mu > 0:
         raise DomainError("L and mu must be positive")
     if fn_class == NONCONVEX and ineq == PL:
-        g = math.sqrt(3.0) / L
-        return OptimalStep(g, rate_formula(fn_class, ineq, L, mu, g).rho, "Prop3.1")
-    if fn_class == CONVEX and ineq == PL:
-        g = 1.5 / L
-        return OptimalStep(g, rate_formula(fn_class, ineq, L, mu, g).rho, "Prop3.2")
-    if fn_class == NONCONVEX and ineq == RPL:
-        g = 1.0 / L
-        return OptimalStep(g, rate_formula(fn_class, ineq, L, mu, g).rho, "Prop4.1")
-    if fn_class == CONVEX and ineq == RPL:
+        g, branch = math.sqrt(3.0) / L, "Prop3.1"
+    elif fn_class == CONVEX and ineq == PL:
+        g, branch = 1.5 / L, "Prop3.2"
+    elif fn_class == NONCONVEX and ineq == RPL:
+        g, branch = 1.0 / L, "Prop4.1"
+    elif fn_class == CONVEX and ineq == RPL:
         if not mu < L:
             raise DomainError("convex-rpl optimal step requires mu < L")
         if mu <= L / 9.0:
-            g = 1.5 / L
-            branch = "Prop4.2-small-mu"
+            g, branch = 1.5 / L, "Prop4.2-small-mu"
         else:
-            g = rpl_convex_interior_step(L, mu)
-            branch = "Prop4.2-large-mu"
-        return OptimalStep(g, rate_formula(fn_class, ineq, L, mu, g).rho, branch)
-    raise DomainError(f"unknown (fn_class, ineq) = ({fn_class!r}, {ineq!r})")
+            g, branch = rpl_convex_interior_step(L, mu), "Prop4.2-large-mu"
+    else:
+        raise DomainError(f"unknown (fn_class, ineq) = ({fn_class!r}, {ineq!r})")
+    return OptimalStep(g, rate(RateQuery(fn_class, ineq, L, mu, g)).rho, branch)
 
 
 def baseline_garrigos(L, mu, gamma):

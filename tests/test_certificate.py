@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxrate import certificate as cm
 from proxrate.errors import DomainError, VerificationError
@@ -22,9 +23,10 @@ from proxrate.interp import (
     smooth_convex_slack,
     smooth_slack,
 )
+from proxrate.pepsearch import SearchParams, search_worst_case
 from proxrate.pgm import PgmConfig, estimate_fstar, run_pgm
 from proxrate.problem import generate_instance
-from proxrate.rates import RateQuery, rate
+from proxrate.rates import RateQuery, rate, rate_formula
 
 
 def gauged(g1, g2, s2, f1, f2, h1, h2, fstar):
@@ -51,12 +53,12 @@ class TestCatalog:
     def test_first_nonconvex_multiplier_values(self):
         cert = cm.certificate_for("Thm3.1-case1")
         L, mu, g = 1.0, 0.1, 1.0
-        values = {label: fn(L, mu, g) for (_, label, fn) in cert.multipliers}
+        values = {label: fn(L * g, mu / L) for (_, label, fn) in cert.multipliers}
         assert values["alpha1"] == pytest.approx(6.0 / 4.3, rel=1e-15)
         assert values["alpha2"] == pytest.approx(2.0 / 4.3, rel=1e-15)
         assert values["beta1"] == pytest.approx(4.0 / 4.3, rel=1e-15)
         assert values["lambda1"] == pytest.approx(0.3 / 4.3, rel=1e-14)
-        coeff = cert.remainder_coeff(L, mu, g)
+        coeff = cert.remainder_coeff(L * g, mu / L)
         assert coeff == pytest.approx((1.0 - 3.0) / (4.0 * 4.3), rel=1e-14)
 
     def test_nonconvex_rpl_unit_multipliers(self, rng):
@@ -65,9 +67,9 @@ class TestCatalog:
             L = float(np.exp(rng.uniform(-2, 2)))
             mu = L * float(rng.uniform(0.05, 0.95))
             g = float(rng.uniform(1e-3, 2 - 1e-3)) / L
-            values = {label: fn(L, mu, g) for (_, label, fn) in cert.multipliers}
+            values = {label: fn(L * g, mu / L) for (_, label, fn) in cert.multipliers}
             assert values["alpha1"] == 1.0 and values["beta1"] == 1.0
-            assert cert.remainder_coeff(L, mu, g) == pytest.approx(-1.0 / (4.0 * L), rel=1e-15)
+            assert cert.remainder_coeff(L * g, mu / L) == pytest.approx(-1.0 / 4.0, rel=1e-15)
             chk = cm.verify_certificate(cert, L, mu, g)
             assert chk.identity_residual <= 1e-12
 
@@ -75,11 +77,12 @@ class TestCatalog:
         cert = cm.certificate_for("Thm3.1-case1")
         L = 1.0
         g = math.sqrt(3.0) / L
-        assert cert.remainder_coeff(L, 0.3, g) == pytest.approx(0.0, abs=1e-15)
+        assert cert.remainder_coeff(L * g, 0.3 / L) == pytest.approx(0.0, abs=1e-15)
 
     def test_mid_interval_rpl_multipliers(self):
         cert = cm.certificate_for("Thm4.2-case2")
-        values = {label: fn(1.0, 0.1, 1.25) for (_, label, fn) in cert.multipliers}
+        L, mu, g = 1.0, 0.1, 1.25
+        values = {label: fn(L * g, mu / L) for (_, label, fn) in cert.multipliers}
         assert values["alpha1"] == pytest.approx(1.0 / 0.875, rel=1e-15)
         assert values["lambda1"] == pytest.approx(0.125 * 0.5 / 0.875, rel=1e-14)
 
@@ -90,8 +93,8 @@ class TestCatalog:
             L = float(np.exp(rng.uniform(-2, 2)))
             mu = L * float(rng.uniform(0.05, 0.95))
             g = float(rng.uniform(1.5 + 1e-6, 2 - 1e-6)) / L
-            va = sorted(fn(L, mu, g) for (_, _, fn) in a.multipliers)
-            vb = sorted(fn(L, mu, g) for (_, _, fn) in b.multipliers)
+            va = sorted(fn(L * g, mu / L) for (_, _, fn) in a.multipliers)
+            vb = sorted(fn(L * g, mu / L) for (_, _, fn) in b.multipliers)
             assert np.allclose(va, vb, rtol=1e-15)
 
     def test_rate_matches_rates_module(self, rng):
@@ -243,7 +246,7 @@ class TestVerification:
             L = float(np.exp(rng.uniform(-1, 2)))
             mu = L * float(rng.uniform(0.05, 0.95))
             grid = cm.interval_grid(cert, L, 50)
-            combo = cert.weighted_combination(L, mu, grid)
+            combo = cert.weighted_combination(L * grid, mu / L)
             assert float(np.abs(np.asarray(combo.Q)).max()) <= 1e-13
             assert float(np.abs(np.asarray(combo.c)).max()) <= 1e-13
 
@@ -292,9 +295,9 @@ class TestVerification:
             fn_class=cert.fn_class,
             ineq=cert.ineq,
             multipliers=cert.multipliers,
-            rate=lambda L, m, g: cert.rate(L, m, g) * Fraction(1001, 1000)
-            if isinstance(g, Fraction)
-            else cert.rate(L, m, g) * 1.001,
+            rho=lambda t, q: cert.rho(t, q) * Fraction(1001, 1000)
+            if isinstance(t, Fraction)
+            else cert.rho(t, q) * 1.001,
             remainder_coeff=cert.remainder_coeff,
             remainder_weights=cert.remainder_weights,
             interval=cert.interval,
@@ -318,10 +321,10 @@ class TestVerification:
             fn_class=cert.fn_class,
             ineq=cert.ineq,
             multipliers=tuple(
-                (cname, label, (lambda L, m, g: -1e-6) if label == "alpha2" else fn)
+                (cname, label, (lambda t, q: -1e-6) if label == "alpha2" else fn)
                 for (cname, label, fn) in cert.multipliers
             ),
-            rate=cert.rate,
+            rho=cert.rho,
             remainder_coeff=cert.remainder_coeff,
             remainder_weights=cert.remainder_weights,
             interval=cert.interval,
@@ -336,7 +339,7 @@ class TestVerification:
         bad = dataclasses.replace(
             cert,
             multipliers=tuple(
-                (cname, label, (lambda L, m, g: math.nan) if label == "alpha2" else fn)
+                (cname, label, (lambda t, q: math.nan) if label == "alpha2" else fn)
                 for (cname, label, fn) in cert.multipliers
             ),
         )
@@ -350,10 +353,10 @@ class TestVerification:
             cm.verify_certificate(cm.certificate_for("Thm3.2-case1"), L, mu, 0.9)
 
     def test_overflow_is_a_domain_error(self):
-        # alpha2's L**2 overflows as a Python float
+        # mu/L overflows to inf as a float
         cert = cm.certificate_for("Thm3.2-case2")
-        with pytest.raises(DomainError, match="overflows"):
-            cm.verify_certificate(cert, 1e160, 1e159, 1.7e-160)
+        with pytest.raises(DomainError, match="mu/L"):
+            cm.verify_certificate(cert, 1e-300, 1e300, 1.7e300)
 
 
 class TestSweep:
@@ -374,7 +377,7 @@ class TestSweep:
         # Thm4.2-case2's identity holds past 1.5/L, where its E1 multiplier
         # turns negative: widened to (1/L, 2/L) only the sign check fails
         cert = cm.certificate_for("Thm4.2-case2")
-        widened = dataclasses.replace(cert, interval=lambda L: (1.0 / L, 2.0 / L, False, False))
+        widened = dataclasses.replace(cert, interval=(1.0, 2.0, False, False))
         monkeypatch.setitem(cm._CATALOG, cert.case_id, widened)
         grid = np.linspace(1.05, 1.95, 10)
         first_bad = float(grid[grid > 1.5][0])
@@ -393,6 +396,38 @@ class TestSweep:
         with pytest.raises(DomainError) as err:
             cm.sweep_verify("Thm3.2-case1", 1.0, 0.1, [0.5, 1.7])
         assert "gamma 1.7 outside" in str(err.value)
+
+
+class TestScaleInvariance:
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(
+        case=st.sampled_from([c.case_id for c in cm.certificate_catalog()]),
+        k=st.integers(-300, 300),
+        q=st.floats(0.01, 0.99),
+        u=st.floats(0.0, 1.0),
+    )
+    def test_every_route_equals_its_unit_scale_result(self, case, k, q, u):
+        # L = 2**k scales exactly: (L, q*L, t/L) normalizes to (1, q, t)
+        # bit for bit, so reports, rates and searches must all be equal
+        cert = cm.certificate_for(case)
+        a, b = cm.interval_grid(cert, 1.0, 2)
+        t = float(min(a + (b - a) * u, b))
+        L = 2.0**k
+        scaled, unit = (L, q * L, t / L), (1.0, q, t)
+        for exact in (False, True):
+            got = cm.verify_certificate(cert, *scaled, exact=exact)
+            want = cm.verify_certificate(cert, *unit, exact=exact)
+            assert got.ok
+            assert dataclasses.replace(got, gamma=None) == dataclasses.replace(want, gamma=None)
+        assert rate_formula(cert.fn_class, cert.ineq, *scaled) == rate_formula(cert.fn_class, cert.ineq, *unit)
+
+        def search(p):
+            try:
+                return search_worst_case(SearchParams(cert.fn_class, cert.ineq, *p)).best_ratio
+            except VerificationError as exc:  # a gate must fail alike at both scales
+                return str(exc).replace(f"gamma={p[2]!r}", "")
+
+        assert search(scaled) == search(unit)
 
 
 class TestConsequenceOnTraces:

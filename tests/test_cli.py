@@ -97,6 +97,16 @@ class TestCertify:
         assert all("status=pass" in ln for ln in lines)
         assert all("worst_identity_residual" in ln for ln in lines)
 
+    @pytest.mark.parametrize("L", [1e-100, 1e-8, 1e-4, 1e8, 1e140, 1e160])
+    def test_all_cases_pass_at_every_scale(self, L, capsys):
+        # the checks run at (1, mu/L, L*gamma), so the scale of L cannot matter
+        code, out, err = run_cli(
+            ["certify", "--case", "all", "--L", repr(L), "--mu", repr(L / 10), "--grid", "20", "--exact"],
+            capsys,
+        )
+        assert code == 0, err
+        assert out.count("status=pass") == 8
+
     def test_unknown_case(self, capsys):
         code, _, err = run_cli(["certify", "--case", "ThmX", "--L", "1", "--mu", "0.1"], capsys)
         assert code == 3 and "unknown certificate case" in err
@@ -244,11 +254,16 @@ class TestDeterminismAndFuzz:
             ["experiment", "--kind", "lasso", "--policies", "foo", "--outdir", "OUT"],
             ["experiment", "--kind", "lasso", "--policies", "sqrt3", "--outdir", "OUT"],
             ["certify", "--L", "1", "--mu", "inf"],
-            ["certify", "--L", "1e160", "--mu", "1e159", "--grid", "3"],
+            ["certify", "--L", "1e-310", "--mu", "1e-311", "--grid", "3"],
+            ["certify", "--L", "1e-300", "--mu", "1e300", "--grid", "3"],
+            ["rate", "--fn-class", "convex", "--ineq", "pl", "--L", "1e-310", "--mu", "1e-311", "--grid", "3",
+             "--output", "OUT"],
+            ["optimal-step", "--fn-class", "nonconvex", "--ineq", "rpl", "--L", "1", "--mu", "3"],
             ["rate", "--fn-class", "convex", "--ineq", "pl", "--L", "1", "--mu", "0.1", "--gamma", "1", "--output", "OUT"],
             [*PEP_SEARCH, "--L", "1", "--mu", "0.1", "--gamma", "1", "--gamma-min", "0.5"],
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_domain_input_is_a_domain_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         code, stdout, err = run_cli([str(out) if a == "OUT" else a for a in argv], capsys)
