@@ -18,10 +18,9 @@ remainder; verification checks, per gamma,
     objective - rho*gap - sum(multiplier_i * constraint_i) == remainder,
 
 multiplier nonnegativity, and nonpositivity of the remainder form.
-Dividing f and h by L moves (L, mu, gamma) to (1, q, t) and scales every
-constraint and both gaps by 1/L, so the formulas are rational in the
-scale-free (t, q) = (L*gamma, mu/L) and verification runs at L = 1; an
-exact mode runs the same checks in Fraction arithmetic.
+Dividing f and h by L scales every constraint and both gaps by 1/L, so
+the formulas are rational in (t, q) = (L*gamma, mu/L) and verification
+runs at L = 1; an exact mode runs the same checks in Fraction arithmetic.
 """
 from __future__ import annotations
 
@@ -207,9 +206,7 @@ def build_constraint(name: str, L, mu, gamma) -> GramExpression:
         raise DomainError(f"unknown constraint name {name!r}")
     exact = _is_exact(L, mu, gamma)
     if not exact:
-        L = np.asarray(L, dtype=float) if np.shape(L) else float(L)
-        mu = np.asarray(mu, dtype=float) if np.shape(mu) else float(mu)
-        gamma = np.asarray(gamma, dtype=float) if np.shape(gamma) else float(gamma)
+        L, mu, gamma = (np.asarray(v, dtype=float) if np.shape(v) else float(v) for v in (L, mu, gamma))
     definition, names = _CONSTRAINTS[name]
     operands = _gram_operands(L, mu, gamma, exact)
     return _batched(definition(*(operands[n] for n in names)), L, mu, gamma)
@@ -229,25 +226,20 @@ def objective_gap_expression(which: str, exact=False) -> GramExpression:
 
 @dataclass(frozen=True)
 class Certificate:
-    """One theorem case: multipliers, rate and remainder as formulas of
-    (t, q), the remainder coefficient being the one at L = 1, and the
-    interval of t."""
+    """One theorem case: multipliers and rate as functions of (L, mu, gamma)
+    through (t, q), and the remainder at L = 1 and the interval in (t, q)."""
 
     case_id: str
     fn_class: str
     ineq: str
     # (constraint name, multiplier label, multiplier formula)
     multipliers: tuple
-    rho: Callable
+    rate: Callable
     # remainder = coeff * ||sum_w w_sym * sym||^2; None means identically zero
     remainder_coeff: Optional[Callable]
     remainder_weights: Optional[Callable]
     interval: tuple  # (lo, hi, lo_closed, hi_closed) in t
     check_kind: str  # "equality" | "inequality-chain"
-
-    def rate(self, L, mu, gamma):
-        """The rate at (L, mu, gamma), through (t, q)."""
-        return self.rho(L * gamma, mu / L)
 
     def gamma_in_interval(self, L, gamma) -> np.ndarray:
         lo, hi, lo_closed, hi_closed = self.interval
@@ -271,10 +263,19 @@ class Certificate:
         """objective - rho*gap - sum(multiplier * constraint), at L = 1."""
         exact = _is_exact(t, q)
         expr = objective_gap_expression("final", exact)
-        expr = expr - self.rho(t, q) * objective_gap_expression("initial", exact)
+        expr = expr - self.rate(1, q, t) * objective_gap_expression("initial", exact)
         for cname, _label, formula in self.multipliers:
-            expr = expr - formula(t, q) * build_constraint(cname, 1, q, t)
+            expr = expr - formula(1, q, t) * build_constraint(cname, 1, q, t)
         return expr
+
+
+def _certificate(multipliers, rho, **fields) -> Certificate:
+    """A Certificate from multiplier and rate formulas written in (t, q)."""
+    def scale_free(f):
+        return lambda L, mu, gamma: f(L * gamma, mu / L)
+
+    mults = tuple((cname, label, scale_free(f)) for cname, label, f in multipliers)
+    return Certificate(multipliers=mults, rate=scale_free(rho), **fields)
 
 
 def _den31_1(t, q):
@@ -298,7 +299,7 @@ def _large_step(case_id, fn_class, ineq, names, remainder_coeff, lo, check_kind)
     (`names`, in that order), the same rate and the same remainder
     square; only its coefficient differs."""
     a1, a2, b1, l1 = names
-    return Certificate(
+    return _certificate(
         case_id=case_id,
         fn_class=fn_class,
         ineq=ineq,
@@ -321,7 +322,7 @@ def certificate_catalog() -> list[Certificate]:
     cat = []
 
     cat.append(
-        Certificate(
+        _certificate(
             case_id="Thm3.1-case1",
             fn_class="nonconvex",
             ineq="pl",
@@ -348,7 +349,7 @@ def certificate_catalog() -> list[Certificate]:
     )
 
     cat.append(
-        Certificate(
+        _certificate(
             case_id="Thm3.2-case1",
             fn_class="convex",
             ineq="pl",
@@ -375,7 +376,7 @@ def certificate_catalog() -> list[Certificate]:
     )
 
     cat.append(
-        Certificate(
+        _certificate(
             case_id="Thm4.1",
             fn_class="nonconvex",
             ineq="rpl",
@@ -394,7 +395,7 @@ def certificate_catalog() -> list[Certificate]:
     )
 
     cat.append(
-        Certificate(
+        _certificate(
             case_id="Thm4.2-case1",
             fn_class="convex",
             ineq="rpl",
@@ -413,7 +414,7 @@ def certificate_catalog() -> list[Certificate]:
     )
 
     cat.append(
-        Certificate(
+        _certificate(
             case_id="Thm4.2-case2",
             fn_class="convex",
             ineq="rpl",
@@ -516,7 +517,7 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
         if bad.any():
             failures.append(f"{message} at gamma={float(gamma_arr[bad.argmax()])!r}")
 
-    values = np.stack([per_gamma(formula(t, q)) for _cname, _label, formula in cert.multipliers])
+    values = np.stack([per_gamma(formula(1, q, t)) for _cname, _label, formula in cert.multipliers])
     combo = cert.weighted_combination(t, q)
     remainder = cert.remainder_expression(t, q)
     coeff = per_gamma(num(0) if cert.remainder_coeff is None else cert.remainder_coeff(t, q))
@@ -539,9 +540,8 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
     # the remainder is coeff * w w^T, one explicit square: its eigenvalues
     # are 0 and trace = coeff * ||w||^2
     trace = per_gamma(np.trace(remainder.Q, axis1=-2, axis2=-1))
-    top = trace.max()
-    max_eig = float(max(0, top))
-    check(~(trace <= eig_tol), f"remainder not negative semidefinite: max eig {float(top):.3e}")
+    max_eig = float(max(0, trace.max()))
+    check(~(trace <= eig_tol), f"remainder not negative semidefinite: max eig {float(trace.max()):.3e}")
 
     return CertificateCheck(
         case_id=cert.case_id,

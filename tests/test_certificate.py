@@ -53,7 +53,7 @@ class TestCatalog:
     def test_first_nonconvex_multiplier_values(self):
         cert = cm.certificate_for("Thm3.1-case1")
         L, mu, g = 1.0, 0.1, 1.0
-        values = {label: fn(L * g, mu / L) for (_, label, fn) in cert.multipliers}
+        values = {label: fn(L, mu, g) for (_, label, fn) in cert.multipliers}
         assert values["alpha1"] == pytest.approx(6.0 / 4.3, rel=1e-15)
         assert values["alpha2"] == pytest.approx(2.0 / 4.3, rel=1e-15)
         assert values["beta1"] == pytest.approx(4.0 / 4.3, rel=1e-15)
@@ -67,7 +67,7 @@ class TestCatalog:
             L = float(np.exp(rng.uniform(-2, 2)))
             mu = L * float(rng.uniform(0.05, 0.95))
             g = float(rng.uniform(1e-3, 2 - 1e-3)) / L
-            values = {label: fn(L * g, mu / L) for (_, label, fn) in cert.multipliers}
+            values = {label: fn(L, mu, g) for (_, label, fn) in cert.multipliers}
             assert values["alpha1"] == 1.0 and values["beta1"] == 1.0
             assert cert.remainder_coeff(L * g, mu / L) == pytest.approx(-1.0 / 4.0, rel=1e-15)
             chk = cm.verify_certificate(cert, L, mu, g)
@@ -81,8 +81,7 @@ class TestCatalog:
 
     def test_mid_interval_rpl_multipliers(self):
         cert = cm.certificate_for("Thm4.2-case2")
-        L, mu, g = 1.0, 0.1, 1.25
-        values = {label: fn(L * g, mu / L) for (_, label, fn) in cert.multipliers}
+        values = {label: fn(1.0, 0.1, 1.25) for (_, label, fn) in cert.multipliers}
         assert values["alpha1"] == pytest.approx(1.0 / 0.875, rel=1e-15)
         assert values["lambda1"] == pytest.approx(0.125 * 0.5 / 0.875, rel=1e-14)
 
@@ -93,8 +92,8 @@ class TestCatalog:
             L = float(np.exp(rng.uniform(-2, 2)))
             mu = L * float(rng.uniform(0.05, 0.95))
             g = float(rng.uniform(1.5 + 1e-6, 2 - 1e-6)) / L
-            va = sorted(fn(L * g, mu / L) for (_, _, fn) in a.multipliers)
-            vb = sorted(fn(L * g, mu / L) for (_, _, fn) in b.multipliers)
+            va = sorted(fn(L, mu, g) for (_, _, fn) in a.multipliers)
+            vb = sorted(fn(L, mu, g) for (_, _, fn) in b.multipliers)
             assert np.allclose(va, vb, rtol=1e-15)
 
     def test_rate_matches_rates_module(self, rng):
@@ -295,9 +294,9 @@ class TestVerification:
             fn_class=cert.fn_class,
             ineq=cert.ineq,
             multipliers=cert.multipliers,
-            rho=lambda t, q: cert.rho(t, q) * Fraction(1001, 1000)
-            if isinstance(t, Fraction)
-            else cert.rho(t, q) * 1.001,
+            rate=lambda L, m, g: cert.rate(L, m, g) * Fraction(1001, 1000)
+            if isinstance(g, Fraction)
+            else cert.rate(L, m, g) * 1.001,
             remainder_coeff=cert.remainder_coeff,
             remainder_weights=cert.remainder_weights,
             interval=cert.interval,
@@ -321,10 +320,10 @@ class TestVerification:
             fn_class=cert.fn_class,
             ineq=cert.ineq,
             multipliers=tuple(
-                (cname, label, (lambda t, q: -1e-6) if label == "alpha2" else fn)
+                (cname, label, (lambda L, m, g: -1e-6) if label == "alpha2" else fn)
                 for (cname, label, fn) in cert.multipliers
             ),
-            rho=cert.rho,
+            rate=cert.rate,
             remainder_coeff=cert.remainder_coeff,
             remainder_weights=cert.remainder_weights,
             interval=cert.interval,
@@ -339,7 +338,7 @@ class TestVerification:
         bad = dataclasses.replace(
             cert,
             multipliers=tuple(
-                (cname, label, (lambda t, q: math.nan) if label == "alpha2" else fn)
+                (cname, label, (lambda L, m, g: math.nan) if label == "alpha2" else fn)
                 for (cname, label, fn) in cert.multipliers
             ),
         )
