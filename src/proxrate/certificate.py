@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, VerificationError
-from .interp import convex_slack, pl_slack, rpl_slack, smooth_convex_slack, smooth_slack
+from .interp import Point, convex_slack, pl_slack, rpl_slack, smooth_convex_slack, smooth_slack
 
 VECTOR_SYMBOLS = ("g1", "g2", "s2")
 SCALAR_SYMBOLS = ("f2", "h1", "h2")
@@ -135,7 +135,6 @@ class _Vec:
         return GramExpression(Q, _zero_array(_NS, Q.dtype == object))
 
 
-_Point = namedtuple("_Point", "x g fv")
 _Symbols = namedtuple("_Symbols", "g1 g2 s2 f2 h1 h2 x1 zero")
 
 
@@ -166,8 +165,8 @@ def _gram_operands(L, mu, gamma, exact):
     G1 = g1 + s2  # the residual at x1
     x2 = x1 - gamma * G1  # the one substitution of the second iterate
     return {
-        "tf1": _Point(x1, g1, zero), "tf2": _Point(x2, g2, f2),
-        "th1": _Point(x1, None, h1), "th2": _Point(x2, s2, h2),
+        "tf1": Point(x1, g1, zero), "tf2": Point(x2, g2, f2),
+        "th1": Point(x1, None, h1), "th2": Point(x2, s2, h2),
         "F1": h1, "F2": f2 + h2, "Fstar": zero, "G1": G1,
         "g2": g2, "s2": s2, "L": L, "mu": mu,
     }
@@ -527,14 +526,17 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
     }
     min_mult = float(values.astype(float).min())
 
-    check(~(values >= -mult_tol).all(0), f"negative multiplier {min_mult:.3e}")
+    # a NaN compares false and so fails; on an object array the comparison
+    # would also raise the floating-point invalid flag
+    with np.errstate(invalid="ignore"):
+        check(~(values >= -mult_tol).all(0), f"negative multiplier {min_mult:.3e}")
 
-    rel = (combo - remainder).max_abs()
-    if np.any(rel):  # relative to the largest term; a zero residual stays zero
-        rel = rel / np.maximum(np.maximum(combo.max_abs(), remainder.max_abs()), 1)
-    rel = per_gamma(rel)
-    rel_residual = float(rel.max())
-    check(~(rel <= identity_tol), f"identity residual {rel_residual:.3e} exceeds {identity_tol:.1e}")
+        rel = (combo - remainder).max_abs()
+        if np.any(rel):  # relative to the largest term; a zero residual stays zero
+            rel = rel / np.maximum(np.maximum(combo.max_abs(), remainder.max_abs()), 1)
+        rel = per_gamma(rel)
+        rel_residual = float(rel.max())
+        check(~(rel <= identity_tol), f"identity residual {rel_residual:.3e} exceeds {identity_tol:.1e}")
 
     check(~(coeff <= eig_tol), f"remainder coefficient positive: {float(coeff.max()):.3e}")
     # the remainder is coeff * w w^T, one explicit square: its eigenvalues

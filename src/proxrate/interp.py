@@ -2,59 +2,25 @@
 
 Each returns a signed slack, nonpositive exactly when the sampled
 first-order data is consistent with the stated function class. The same
-definitions give the float slacks of concrete triples (cond_*), the D/E
-checks of trace validation, and, on Gram symbols, the constraints of the
-certificate layer and the worst-case search. Violation thresholds are the
-caller's business; nothing here raises on a positive slack.
+definitions give the D/E checks of trace validation and, on Gram symbols,
+the constraints of the certificate layer and the worst-case search; on
+float or Fraction vectors they give the slacks of concrete points.
+Violation thresholds are the caller's business; nothing here raises on a
+positive slack.
 """
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
 from .pgm import Trace
 from .problem import CompositeProblem
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class Triple:
-    """A point with a (sub)gradient and the function value there."""
-
-    x: np.ndarray
-    g: np.ndarray
-    fv: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "g", np.atleast_1d(np.asarray(self.g, dtype=float)))
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.g)) and np.isfinite(self.fv)):
-            raise DomainError("triple entries must be finite")
-
-
-@dataclass(frozen=True)
-class TriplePair:
-    """Smooth-part and convex-part triples taken at the same point."""
-
-    f: Triple
-    h: Triple
-
-    def __post_init__(self):
-        if self.f.x.shape != self.h.x.shape or not np.array_equal(self.f.x, self.h.x):
-            raise DomainError("f and h triples must share the same point")
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.f.x
-
-    @property
-    def total_value(self) -> float:
-        return self.f.fv + self.h.fv
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +28,8 @@ class TriplePair:
 # .fv; vectors meet only through `@` and every constant is an integer, so
 # float vectors, Fraction vectors, row stacks and Gram symbols all
 # evaluate them.
+
+Point = namedtuple("Point", "x g fv")
 
 
 def smooth_slack(i, j, L):
@@ -95,56 +63,6 @@ def pl_slack(F, fstar, g, s, mu):
     """(D) subgradient-form domination: (E) with the residual replaced by
     g + s, the gradient of f plus a subgradient of h at the point."""
     return rpl_slack(F, fstar, g + s, mu)
-
-
-# ---------------------------------------------------------------------------
-# checked float slacks on concrete triples
-
-
-def _positive(name, value):
-    if not value > 0:
-        raise DomainError(f"{name} must be positive")
-
-
-def cond_A(i: Triple, j: Triple, L: float) -> float:
-    """Slack of (A): nonpositive iff some function with L-Lipschitz
-    gradient (no convexity required) takes these values and gradients at
-    the two points. Tight on +-(L/2)||x||^2."""
-    _positive("L", L)
-    return float(smooth_slack(i, j, L))
-
-
-def cond_B(i: Triple, j: Triple, L: float) -> float:
-    """Slack of (B): nonpositive iff some L-smooth convex function
-    interpolates the two triples."""
-    _positive("L", L)
-    return float(smooth_convex_slack(i, j, L))
-
-
-def cond_C(i: Triple, j: Triple) -> float:
-    """Slack of (C): nonpositive iff consistent with convexity."""
-    return float(convex_slack(i, j))
-
-
-def cond_D(i: TriplePair, fstar: float, mu: float) -> float:
-    """Slack of (D) at a point, with s_i = i.h.g a subgradient of h there."""
-    _positive("mu", mu)
-    return float(pl_slack(i.total_value, fstar, i.f.g, i.h.g, mu))
-
-
-def cond_E(i: TriplePair, fstar: float, mu: float, residual_norm: float) -> float:
-    """Slack of (E) given ||G_gamma(x_i)||; the residual enters only
-    through its norm, so a 1-vector holding the norm stands in for it."""
-    _positive("mu", mu)
-    return float(rpl_slack(i.total_value, fstar, np.atleast_1d(float(residual_norm)), mu))
-
-
-def cond_E_prime(i: TriplePair, s_next, fstar: float, mu: float) -> float:
-    """cond_E with the residual expanded as g_i + s_{i+1}, where s_{i+1}
-    is the prox-certified subgradient at the next iterate. On exact
-    iterates the two slacks coincide to roundoff."""
-    _positive("mu", mu)
-    return float(rpl_slack(i.total_value, fstar, i.f.g + np.asarray(s_next, dtype=float), mu))
 
 
 # ---------------------------------------------------------------------------

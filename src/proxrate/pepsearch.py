@@ -21,6 +21,7 @@ must never exceed the analytic rate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,8 +54,9 @@ class SearchParams:
     def __post_init__(self):
         if (self.fn_class, self.ineq) not in CONSTRAINT_SETS:
             raise DomainError(f"unknown class/inequality pair ({self.fn_class!r}, {self.ineq!r})")
-        if not (self.L > 0 and self.mu > 0):  # mu > L stays allowed
-            raise DomainError(f"L and mu must be positive, got L={self.L!r}, mu={self.mu!r}")
+        # mu > L stays allowed; a subnormal L leaves no finite bound on gamma
+        if not (0 < self.L and 0 < 2.0 / self.L < math.inf and 0 < self.mu < math.inf):
+            raise DomainError(f"L, 2/L and mu must be positive and finite, got L={self.L!r}, mu={self.mu!r}")
         if not 0 < self.gamma < 2.0 / self.L:
             raise DomainError(f"gamma out of (0, 2/L): gamma={self.gamma!r}, L={self.L!r}")
 

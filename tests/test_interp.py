@@ -3,78 +3,70 @@ import dataclasses
 import numpy as np
 import pytest
 
-from proxrate.errors import DomainError
 from proxrate.interp import (
-    Triple,
-    TriplePair,
-    cond_A,
-    cond_B,
-    cond_C,
-    cond_D,
-    cond_E,
-    cond_E_prime,
+    Point,
+    convex_slack,
+    pl_slack,
+    rpl_slack,
+    smooth_convex_slack,
+    smooth_slack,
     validate_trace,
 )
 from proxrate.pgm import PgmConfig, estimate_fstar, run_pgm
 from proxrate.problem import generate_instance, l1_prox
 
 
-def triple_at(fn, grad, x):
+def point_at(fn, grad, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return Triple(x, grad(x), fn(x))
+    return Point(x, grad(x), fn(x))
 
 
 class TestCondA:
     def test_equal_triples_vanish(self, rng):
-        t = Triple(rng.standard_normal(3), rng.standard_normal(3), 0.7)
-        assert cond_A(t, t, 2.0) == 0.0
+        t = Point(rng.standard_normal(3), rng.standard_normal(3), 0.7)
+        assert smooth_slack(t, t, 2.0) == 0.0
 
     def test_tight_on_concave_quadratic(self):
         # f(x) = -(L/2)x^2 is the extreme L-smooth function: the slack is
-        # exactly zero between any two of its triples
+        # exactly zero between any two of its points
         L = 1.0
         fn = lambda x: -0.5 * L * float(x @ x)
         grad = lambda x: -L * x
-        i = triple_at(fn, grad, [0.0])
-        j = triple_at(fn, grad, [1.0])
-        assert cond_A(i, j, L) == pytest.approx(0.0, abs=1e-15)
-        assert cond_A(j, i, L) == pytest.approx(0.0, abs=1e-15)
+        i = point_at(fn, grad, [0.0])
+        j = point_at(fn, grad, [1.0])
+        assert smooth_slack(i, j, L) == pytest.approx(0.0, abs=1e-15)
+        assert smooth_slack(j, i, L) == pytest.approx(0.0, abs=1e-15)
 
     def test_tight_on_convex_quadratic_both_orders(self):
         L = 1.0
         fn = lambda x: 0.5 * L * float(x @ x)
         grad = lambda x: L * x
-        i = triple_at(fn, grad, [1.0])
-        j = triple_at(fn, grad, [0.0])
-        assert cond_A(i, j, L) == pytest.approx(0.0, abs=1e-15)
-        assert cond_A(j, i, L) == pytest.approx(0.0, abs=1e-15)
+        i = point_at(fn, grad, [1.0])
+        j = point_at(fn, grad, [0.0])
+        assert smooth_slack(i, j, L) == pytest.approx(0.0, abs=1e-15)
+        assert smooth_slack(j, i, L) == pytest.approx(0.0, abs=1e-15)
 
     def test_sine_samples_never_violate(self, rng):
         fn = lambda x: float(np.sin(x[0]))
         grad = lambda x: np.cos(x)
         for _ in range(1000):
-            i = triple_at(fn, grad, rng.uniform(-6, 6, 1))
-            j = triple_at(fn, grad, rng.uniform(-6, 6, 1))
-            assert cond_A(i, j, 1.0) <= 1e-12
-
-    def test_requires_positive_L(self, rng):
-        t = Triple(np.zeros(2), np.zeros(2), 0.0)
-        with pytest.raises(DomainError):
-            cond_A(t, t, 0.0)
+            i = point_at(fn, grad, rng.uniform(-6, 6, 1))
+            j = point_at(fn, grad, rng.uniform(-6, 6, 1))
+            assert smooth_slack(i, j, 1.0) <= 1e-12
 
 
 class TestCondB:
     def test_equal_triples_vanish(self):
-        t = Triple(np.ones(2), np.ones(2), 1.0)
-        assert cond_B(t, t, 3.0) == 0.0
+        t = Point(np.ones(2), np.ones(2), 1.0)
+        assert smooth_convex_slack(t, t, 3.0) == 0.0
 
     def test_tight_on_quadratic(self):
         L = 1.0
         fn = lambda x: 0.5 * L * float(x @ x)
         grad = lambda x: L * x
-        i = triple_at(fn, grad, [1.0])
-        j = triple_at(fn, grad, [0.0])
-        assert cond_B(i, j, L) == pytest.approx(0.0, abs=1e-15)
+        i = point_at(fn, grad, [1.0])
+        j = point_at(fn, grad, [0.0])
+        assert smooth_convex_slack(i, j, L) == pytest.approx(0.0, abs=1e-15)
 
     def test_least_squares_samples_never_violate(self, rng):
         A = rng.standard_normal((60, 8))
@@ -83,20 +75,20 @@ class TestCondB:
         fn = lambda x: 0.5 * float(np.sum((A @ x - b) ** 2))
         grad = lambda x: A.T @ (A @ x - b)
         for _ in range(1000):
-            i = triple_at(fn, grad, rng.standard_normal(8))
-            j = triple_at(fn, grad, rng.standard_normal(8))
-            assert cond_B(i, j, L) <= 1e-10
+            i = point_at(fn, grad, rng.standard_normal(8))
+            j = point_at(fn, grad, rng.standard_normal(8))
+            assert smooth_convex_slack(i, j, L) <= 1e-10
 
 
 class TestCondC:
     def test_equal_triples_vanish(self):
-        t = Triple(np.ones(1), np.ones(1), 1.0)
-        assert cond_C(t, t) == 0.0
+        t = Point(np.ones(1), np.ones(1), 1.0)
+        assert convex_slack(t, t) == 0.0
 
     def test_absolute_value_example(self):
-        i = Triple(np.array([1.0]), np.array([1.0]), 1.0)
-        j = Triple(np.array([-1.0]), np.array([-1.0]), 1.0)
-        assert cond_C(i, j) == -2.0
+        i = Point(np.array([1.0]), np.array([1.0]), 1.0)
+        j = Point(np.array([-1.0]), np.array([-1.0]), 1.0)
+        assert convex_slack(i, j) == -2.0
 
     def test_l1_with_certified_subgradients(self, rng):
         lam = 0.3
@@ -105,28 +97,22 @@ class TestCondC:
         for _ in range(1000):
             x1, x2 = rng.standard_normal((2, 4)) * 2.0
             y1, y2 = h.prox(x1, gamma), h.prox(x2, gamma)
-            s1, s2 = h.subgradient_at_prox(x1, gamma), h.subgradient_at_prox(x2, gamma)
-            i = Triple(y1, s1, h.value(y1))
-            j = Triple(y2, s2, h.value(y2))
-            assert cond_C(i, j) <= 1e-12
+            # the prox certifies (x - prox(x)) / gamma as a subgradient at prox(x)
+            i = Point(y1, (x1 - y1) / gamma, h.value(y1))
+            j = Point(y2, (x2 - y2) / gamma, h.value(y2))
+            assert convex_slack(i, j) <= 1e-12
 
 
 class TestCondDE:
     def test_zero_at_minimizer(self):
-        x = np.zeros(2)
-        pair = TriplePair(Triple(x, np.zeros(2), 1.0), Triple(x, np.zeros(2), -1.0))
-        assert cond_D(pair, 0.0, 0.5) == 0.0
-        assert cond_E(pair, 0.0, 0.5, 0.0) == 0.0
+        F = 1.0 + -1.0  # f and h values at the point
+        assert pl_slack(F, 0.0, np.zeros(2), np.zeros(2), 0.5) == 0.0
+        assert rpl_slack(F, 0.0, np.zeros(1), 0.5) == 0.0
 
     def test_quadratic_tightness(self):
         # F(x) = x^2/2, h = 0: domination modulus 1 holds with equality
         x = np.array([1.0])
-        pair = TriplePair(Triple(x, x, 0.5), Triple(x, np.zeros(1), 0.0))
-        assert cond_D(pair, 0.0, 1.0) == 0.0
-
-    def test_pair_requires_matching_points(self):
-        with pytest.raises(DomainError):
-            TriplePair(Triple(np.zeros(2), np.zeros(2), 0.0), Triple(np.ones(2), np.zeros(2), 0.0))
+        assert pl_slack(0.5 + 0.0, 0.0, x, np.zeros(1), 1.0) == 0.0
 
     def test_E_and_E_prime_agree_on_traces(self):
         data = generate_instance("lasso", 50, 6, 0.1, seed=8)
@@ -134,13 +120,11 @@ class TestCondDE:
         trace = run_pgm(problem, PgmConfig(step=1.0 / problem.f.lipschitz, max_iters=200, stop_tol=0.0), np.zeros(6))
         fstar = estimate_fstar(problem, np.zeros(6)).value
         for i in range(60):
-            x = trace.points[i]
-            pair = TriplePair(
-                Triple(x, trace.gradients[i], trace.f_vals[i]),
-                Triple(x, np.zeros_like(x), trace.h_vals[i]),
-            )
-            e = cond_E(pair, fstar, 0.5, trace.residual_norms[i])
-            ep = cond_E_prime(pair, trace.subgradients[i], fstar, 0.5)
+            F = trace.F_vals[i]
+            # (E) on the recorded norm, and on the residual expanded as
+            # g_i + s_{i+1}; on exact iterates they coincide to roundoff
+            e = rpl_slack(F, fstar, trace.residual_norms[i, None], 0.5)
+            ep = rpl_slack(F, fstar, trace.gradients[i] + trace.subgradients[i], 0.5)
             assert abs(e - ep) <= 1e-12 * max(1.0, abs(e))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from proxrate import pepsearch
 from proxrate.errors import DomainError, VerificationError
-from proxrate.interp import Triple, TriplePair, cond_A, cond_B, cond_C, cond_D, cond_E
+from proxrate.interp import Point, convex_slack, pl_slack, rpl_slack, smooth_convex_slack, smooth_slack
 from proxrate.pepsearch import (
     CONSTRAINT_SETS,
     DUALITY_GAP_TOL,
@@ -99,20 +99,20 @@ class TestExactSolve:
             x1 = rng.standard_normal(3)
             f1, fstar = rng.standard_normal(2)
             x2 = x1 - gamma * (g1 + s2)
-            tf1, tf2 = Triple(x1, g1, f1), Triple(x2, g2, instance.f2 + f1)
-            th1, th2 = Triple(x1, np.zeros(3), 1.0 - f1 + fstar), Triple(x2, s2, instance.h2 - f1 + fstar)
-            at1, at2 = TriplePair(tf1, th1), TriplePair(tf2, th2)
-            e1 = cond_E(at1, fstar, mu, np.linalg.norm(x1 - x2) / gamma)
+            tf1, tf2 = Point(x1, g1, f1), Point(x2, g2, instance.f2 + f1)
+            th1, th2 = Point(x1, None, 1.0 - f1 + fstar), Point(x2, s2, instance.h2 - f1 + fstar)
+            F1, F2 = tf1.fv + th1.fv, tf2.fv + th2.fv
+            e1 = rpl_slack(F1, fstar, (x1 - x2) / gamma, mu)
+            d2 = pl_slack(F2, fstar, g2, s2, mu)
             slacks = {
-                "A12": cond_A(tf1, tf2, L), "A21": cond_A(tf2, tf1, L),
-                "B12": cond_B(tf1, tf2, L), "B21": cond_B(tf2, tf1, L),
-                "C12": cond_C(th1, th2), "D2": cond_D(at2, fstar, mu), "E2": cond_D(at2, fstar, mu),
-                "E1": e1, "Eprime1": e1,
+                "A12": smooth_slack(tf1, tf2, L), "A21": smooth_slack(tf2, tf1, L),
+                "B12": smooth_convex_slack(tf1, tf2, L), "B21": smooth_convex_slack(tf2, tf1, L),
+                "C12": convex_slack(th1, th2), "D2": d2, "E2": d2, "E1": e1, "Eprime1": e1,
             }
             case = (fn_class, ineq)
             for name in params.constraint_names:
                 assert slacks[name] <= FEASIBILITY_TOL, (case, name, slacks[name])
-            assert at2.total_value - fstar == pytest.approx(instance.ratio, abs=1e-12), case
+            assert F2 - fstar == pytest.approx(instance.ratio, abs=1e-12), case
 
     def test_convex_rpl_small_step_gap(self):
         params = SearchParams("convex", "rpl", 1.0, 0.1, 0.6)
