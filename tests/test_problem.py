@@ -5,8 +5,11 @@ import pytest
 
 from proxrate import rng as prng
 from proxrate.errors import DomainError
+from proxrate.pgm import residual
 from proxrate.problem import (
+    CompositeProblem,
     ProblemData,
+    SmoothOracle,
     elastic_net_prox,
     generate_instance,
     l1_prox,
@@ -172,6 +175,18 @@ class TestProxProperties:
             x, y = rng.standard_normal((2, 6)) * 4.0
             d_out = np.linalg.norm(h.prox(x, gamma) - h.prox(y, gamma))
             assert d_out <= np.linalg.norm(x - y) * (1.0 + 1e-12)
+
+    def test_prox_optimality_relation(self, rng):
+        # with f = 0 the residual G_gamma(x) is the subgradient of h that the
+        # prox certifies at prox(x), so x - gamma * G_gamma(x) recovers prox(x)
+        h = l1_prox(0.5)
+        gamma = 1.2
+        problem = CompositeProblem(SmoothOracle(lambda x: 0.0, np.zeros_like, 1.0), h)
+        for _ in range(200):
+            x = rng.standard_normal(4) * 2.0
+            y = h.prox(x, gamma)
+            s, _ = residual(problem, gamma, x)
+            assert np.allclose(x - gamma * s, y, rtol=0, atol=1e-15)
 
     def test_zero_prox_identity(self, rng):
         h = zero_prox()
