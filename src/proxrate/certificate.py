@@ -211,14 +211,6 @@ def build_constraint(name: str, L, mu, gamma) -> GramExpression:
     return _batched(definition(*(operands[n] for n in names)), L, mu, gamma)
 
 
-def objective_gap_expression(which: str, exact=False) -> GramExpression:
-    """F(x2)-F* for which='final', F(x1)-F* for which='initial'."""
-    if which not in ("final", "initial"):
-        raise DomainError(f"unknown objective selector {which!r}")
-    sym = _SYMBOLS[exact]
-    return sym.f2 + sym.h2 if which == "final" else sym.h1
-
-
 # ---------------------------------------------------------------------------
 # the eight certificates
 
@@ -260,9 +252,8 @@ class Certificate:
 
     def weighted_combination(self, t, q) -> GramExpression:
         """objective - rho*gap - sum(multiplier * constraint), at L = 1."""
-        exact = _is_exact(t, q)
-        expr = objective_gap_expression("final", exact)
-        expr = expr - self.rate(1, q, t) * objective_gap_expression("initial", exact)
+        sym = _SYMBOLS[_is_exact(t, q)]
+        expr = sym.f2 + sym.h2 - self.rate(1, q, t) * sym.h1
         for cname, _label, formula in self.multipliers:
             expr = expr - formula(1, q, t) * build_constraint(cname, 1, q, t)
         return expr

@@ -242,8 +242,8 @@ def build_parser():
     p.add_argument("--kind", choices=("srlr", "lasso", "elastic_net"), help="generate an instance")
     p.add_argument("--n", type=int, default=200, help="rows, n >= 1")
     p.add_argument("--d", type=int, default=20, help="columns, d >= 1")
-    p.add_argument("--lam", type=float, default=0.1, help="l1 weight, lam > 0")
-    p.add_argument("--delta", type=float, help="ridge weight, delta > 0 (elastic_net only)")
+    p.add_argument("--lam", type=float, default=0.1, help="l1 weight, 0 < lam < inf")
+    p.add_argument("--delta", type=float, help="ridge weight, 0 < delta < inf (elastic_net only)")
     p.add_argument("--gamma", type=float, help="step size in (0, 2/L); default 1/L")
     p.add_argument("--max-iters", type=int, default=100_000, help="iteration cap (>= 1)")
     p.add_argument("--stop-tol", type=float, default=1e-10, help="residual-norm stop tolerance (>= 0)")
@@ -256,8 +256,8 @@ def build_parser():
     p.add_argument("--kind", choices=("srlr", "lasso", "elastic_net"), required=True)
     p.add_argument("--n", type=int, default=200, help="rows, n >= 1")
     p.add_argument("--d", type=int, default=20, help="columns, d >= 1")
-    p.add_argument("--lam", type=float, default=0.1, help="l1 weight, lam > 0")
-    p.add_argument("--delta", type=float, help="ridge weight, delta > 0 (elastic_net only)")
+    p.add_argument("--lam", type=float, default=0.1, help="l1 weight, 0 < lam < inf")
+    p.add_argument("--delta", type=float, help="ridge weight, 0 < delta < inf (elastic_net only)")
     p.add_argument("--policies", help="comma list, e.g. '1/L,optimal,1.9/L'")
     p.add_argument("--budget", type=int, default=50_000, help="iteration cap per run (>= 1)")
     p.add_argument("--gap-tol", type=float, default=1e-8, help="target objective gap (> 0)")

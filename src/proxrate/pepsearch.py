@@ -27,15 +27,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .certificate import build_constraint
+from .certificate import CONSTRAINT_NAMES, build_constraint
 from .errors import DomainError, VerificationError
-from .rates import rate_formula
+from .rates import CASES, rate_formula
 
+# per pair, the constraints its certificates use, in CONSTRAINT_NAMES order
 CONSTRAINT_SETS = {
-    ("nonconvex", "pl"): ("A12", "A21", "C12", "D2"),
-    ("convex", "pl"): ("B12", "B21", "C12", "D2"),
-    ("nonconvex", "rpl"): ("A12", "C12", "Eprime1"),
-    ("convex", "rpl"): ("B12", "B21", "C12", "E1", "E2"),
+    pair: tuple(n for n in CONSTRAINT_NAMES if any(n == cname for cert in certs for cname, _, _ in cert.multipliers))
+    for pair, certs in CASES.items()
 }
 
 SOUNDNESS_SLACK = 1e-6

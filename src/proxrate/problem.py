@@ -121,8 +121,8 @@ def soft_threshold(x, t):
 
 def l1_prox(lam: float) -> ProxOperator:
     """h(x) = lam*||x||_1; prox is soft-thresholding at gamma*lam."""
-    if not lam > 0:
-        raise DomainError("lambda must be positive")
+    if not 0 < lam < np.inf:
+        raise DomainError(f"lambda must be positive and finite, got {lam!r}")
 
     def value(x):
         return lam * float(np.sum(np.abs(x)))
@@ -139,10 +139,10 @@ def elastic_net_prox(lam: float, delta: float) -> ProxOperator:
     prox(x, gamma) = soft_threshold(x, gamma*lam) / (1 + gamma*delta),
     componentwise.
     """
-    if not lam > 0:
-        raise DomainError("lambda must be positive")
-    if not delta > 0:
-        raise DomainError("delta must be positive")
+    if not 0 < lam < np.inf:
+        raise DomainError(f"lambda must be positive and finite, got {lam!r}")
+    if not 0 < delta < np.inf:
+        raise DomainError(f"delta must be positive and finite, got {delta!r}")
 
     def value(x):
         return lam * float(np.sum(np.abs(x))) + 0.5 * delta * float(x @ x)

@@ -1,10 +1,11 @@
-"""Closed-form worst-case contraction rates and step-size selection.
+"""Worst-case contraction rates and step-size selection.
 
 Rates are for one proximal gradient step measured in objective gap,
 under a gradient-domination ("pl") or prox-residual-domination ("rpl")
 inequality with modulus mu, for smooth convex or merely L-smooth f.
-Branch boundaries follow the interval form; at a shared endpoint both
-branch formulas agree (continuity), and the closed endpoint's label wins.
+Each rate is the certified formula of the first catalog case whose step
+interval holds gamma; at a shared endpoint both formulas agree
+(continuity), and the closed endpoint's label wins.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
+from .certificate import certificate_catalog
 from .errors import DomainError
 
 CONVEX = "convex"
@@ -19,8 +21,10 @@ NONCONVEX = "nonconvex"
 PL = "pl"
 RPL = "rpl"
 
-_CLASSES = (CONVEX, NONCONVEX)
-_INEQS = (PL, RPL)
+# (fn_class, ineq) -> its theorem-case certificates, in step order
+CASES = {}
+for _cert in certificate_catalog():
+    CASES.setdefault((_cert.fn_class, _cert.ineq), []).append(_cert)
 
 
 @dataclass(frozen=True)
@@ -34,10 +38,7 @@ class RateQuery:
     gamma: float
 
     def validate(self):
-        if self.fn_class not in _CLASSES:
-            raise DomainError(f"unknown function class {self.fn_class!r}")
-        if self.ineq not in _INEQS:
-            raise DomainError(f"unknown inequality {self.ineq!r}")
+        _cases(self.fn_class, self.ineq)
         _check_domain(self.L, self.mu, self.gamma)
         if self.mu > self.L:
             raise DomainError("mu > L rejected: the domination modulus cannot exceed the smoothness constant")
@@ -50,54 +51,35 @@ class RateResult:
 
 
 def _check_domain(L, mu, gamma):
-    """L > 0 and mu > 0, then gamma in (0, 2/L), so every rate
+    """L > 0 and 0 < mu < inf, then gamma in (0, 2/L), so every rate
     denominator is positive."""
     if not L > 0:
         raise DomainError(f"L must be positive, got {L!r}")
-    if not mu > 0:
-        raise DomainError(f"mu must be positive, got {mu!r}")
+    if not 0 < mu < math.inf:
+        raise DomainError(f"mu must be positive and finite, got {mu!r}")
     if not 0 < gamma < 2.0 / L:
         raise DomainError(f"gamma out of (0, 2/L): gamma={gamma!r}, L={L!r}")
 
 
-def _large_step_quadratic(L, mu, gamma):
-    # shared third-branch expression: (Lg-1)^2 / ((Lg-1)^2 - L g^2 mu + 2 g mu)
-    t = L * gamma - 1.0
-    return t * t / (t * t - L * gamma * gamma * mu + 2.0 * gamma * mu)
+def _cases(fn_class, ineq):
+    try:
+        return CASES[(fn_class, ineq)]
+    except KeyError:
+        raise DomainError(f"unknown (fn_class, ineq) = ({fn_class!r}, {ineq!r})") from None
 
 
 def rate_formula(fn_class, ineq, L, mu, gamma) -> RateResult:
-    """Branch-correct rate formula without the mu <= L admissibility gate.
+    """Branch-correct certified rate without the mu <= L admissibility gate.
 
     Callers that need the guarded contract should use `rate`. L and mu
-    must still be positive and gamma in (0, 2/L).
+    must still be positive and gamma in (0, 2/L), where every pair's last
+    case, open at 2/L, ends.
     """
     _check_domain(L, mu, gamma)
-    if fn_class == NONCONVEX and ineq == PL:
-        if gamma <= math.sqrt(3.0) / L:
-            u = L * gamma + 1.0
-            rho = u * u / (u * u + L * gamma * gamma * mu + 2.0 * gamma * mu)
-            return RateResult(rho, "Thm3.1-case1")
-        return RateResult(_large_step_quadratic(L, mu, gamma), "Thm3.1-case2")
-    if fn_class == CONVEX and ineq == PL:
-        if gamma <= 1.5 / L:
-            return RateResult(1.0 / (2.0 * gamma * mu + 1.0), "Thm3.2-case1")
-        return RateResult(_large_step_quadratic(L, mu, gamma), "Thm3.2-case2")
-    if fn_class == NONCONVEX and ineq == RPL:
-        t = L * gamma - 1.0
-        rho = (L + mu * t * t - mu) / L
-        return RateResult(rho, "Thm4.1")
-    if fn_class == CONVEX and ineq == RPL:
-        if gamma <= 1.0 / L:
-            rho = (1.0 - gamma * mu) / (1.0 + gamma * mu)
-            return RateResult(rho, "Thm4.2-case1")
-        if gamma <= 1.5 / L:
-            rho = (-2.0 * L * gamma * gamma * mu + L * gamma + 3.0 * gamma * mu - 2.0) / (
-                L * gamma - gamma * mu - 2.0
-            )
-            return RateResult(rho, "Thm4.2-case2")
-        return RateResult(_large_step_quadratic(L, mu, gamma), "Thm4.2-case3")
-    raise DomainError(f"unknown (fn_class, ineq) = ({fn_class!r}, {ineq!r})")
+    for cert in _cases(fn_class, ineq):
+        _lo, hi, _lo_closed, hi_closed = cert.interval
+        if gamma <= hi / L if hi_closed else gamma < hi / L:
+            return RateResult(cert.rate(L, mu, gamma), cert.case_id)
 
 
 def rate(query: RateQuery) -> RateResult:

@@ -19,7 +19,7 @@ from proxrate.interp import (
 from proxrate.pepsearch import SearchParams, search_worst_case
 from proxrate.pgm import PgmConfig, estimate_fstar, run_pgm
 from proxrate.problem import generate_instance
-from proxrate.rates import RateQuery, rate, rate_formula
+from proxrate.rates import rate_formula
 
 
 def gauged(g1, g2, s2, f1, f2, h1, h2, fstar):
@@ -88,17 +88,6 @@ class TestCatalog:
             va = sorted(fn(L, mu, g) for (_, _, fn) in a.multipliers)
             vb = sorted(fn(L, mu, g) for (_, _, fn) in b.multipliers)
             assert np.allclose(va, vb, rtol=1e-15)
-
-    def test_rate_matches_rates_module(self, rng):
-        for cert in cm.certificate_catalog():
-            for _ in range(10):
-                L = float(np.exp(rng.uniform(-1, 2)))
-                mu = L * float(rng.uniform(0.05, 0.95))
-                grid = cm.interval_grid(cert, L, 7)
-                g = float(grid[3])
-                assert cert.rate(L, mu, g) == pytest.approx(
-                    rate(RateQuery(cert.fn_class, cert.ineq, L, mu, g)).rho, rel=1e-13
-                )
 
 
 class TestBuildConstraint:

@@ -157,6 +157,21 @@ class TestSolveAndExperiment:
         code, _, err = run_cli(["solve", "--problem", str(bad)], capsys)
         assert code == 3 and err.startswith("error:domain: bad instance document:"), err
 
+    @pytest.mark.parametrize(
+        "argv, weight",
+        [
+            (["solve", "--kind", "lasso", "--n", "20", "--d", "4", "--lam", "inf"], "lambda"),
+            (["solve", "--kind", "elastic_net", "--n", "20", "--d", "4", "--delta", "inf"], "delta"),
+            (["experiment", "--kind", "elastic_net", "--n", "20", "--d", "4", "--delta", "inf", "--outdir", "OUT"],
+             "delta"),
+        ],
+    )
+    def test_infinite_weight_is_a_domain_error(self, argv, weight, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run_cli([str(out) if a == "OUT" else a for a in argv], capsys)
+        assert code == 3 and err.startswith("error:domain: ") and weight in err.splitlines()[0], err
+        assert not out.exists()
+
     def test_experiment_outputs(self, tmp_path, capsys):
         outdir = tmp_path / "exp"
         code, out, _ = run_cli(

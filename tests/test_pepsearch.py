@@ -28,11 +28,12 @@ class TestParams:
             SearchParams("convex", "kl", 1.0, 0.1, 1.0)
 
     def test_constraint_sets_cover_all_pairs(self):
-        assert set(CONSTRAINT_SETS) == {
-            ("convex", "pl"),
-            ("convex", "rpl"),
-            ("nonconvex", "pl"),
-            ("nonconvex", "rpl"),
+        # the SDP stacks its constraints in this order
+        assert CONSTRAINT_SETS == {
+            ("nonconvex", "pl"): ("A12", "A21", "C12", "D2"),
+            ("convex", "pl"): ("B12", "B21", "C12", "D2"),
+            ("nonconvex", "rpl"): ("A12", "C12", "Eprime1"),
+            ("convex", "rpl"): ("B12", "B21", "C12", "E1", "E2"),
         }
 
 

@@ -72,10 +72,17 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "args",
-        [("convex", "pl", 0.0, 0.1, 1.0), ("convex", "pl", 1.0, -0.5, 1.0), ("convex", "rpl", 1.0, 0.0, 0.5)],
+        [
+            ("convex", "pl", 0.0, 0.1, 1.0),
+            ("convex", "pl", 1.0, -0.5, 1.0),
+            ("convex", "rpl", 1.0, 0.0, 0.5),
+            ("nonconvex", "rpl", 1.0, math.inf, 1.0),
+            ("convex", "pl", 1.0, math.inf, 1.0),
+        ],
     )
     def test_formula_rejects_nonpositive_constants(self, args):
-        # unchecked, these divide by zero (L = 0; mu = -0.5 at gamma = 1) or give rho = 1 (mu = 0)
+        # unchecked, these divide by zero (L = 0; mu = -0.5 at gamma = 1), give rho = 1 (mu = 0),
+        # or give rho = nan or 0 (mu = inf)
         with pytest.raises(DomainError):
             rate_formula(*args)
 
@@ -165,14 +172,17 @@ class TestOptimalStep:
         with pytest.raises(DomainError):
             optimal_step("convex", "rpl", 1.0, 1.0)
 
-    def test_optimal_step_minimizes_rate_on_grid(self, rng):
+    @pytest.mark.parametrize(
+        "fn_class, ineq", [("nonconvex", "pl"), ("convex", "pl"), ("nonconvex", "rpl"), ("convex", "rpl")]
+    )
+    def test_optimal_step_minimizes_rate_on_grid(self, fn_class, ineq, rng):
         for _ in range(20):
             L = float(np.exp(rng.uniform(-1, 2)))
-            for mu_frac in (0.05, 0.3, 0.8):
+            for mu_frac in (0.05, 0.3, 0.8, 0.99):
                 mu = L * mu_frac
-                step = optimal_step("convex", "rpl", L, mu)
+                step = optimal_step(fn_class, ineq, L, mu)
                 grid = np.linspace(1e-3, 2.0 - 1e-3, 500) / L
-                best = min(rho("convex", "rpl", L, mu, g) for g in grid)
+                best = min(rho(fn_class, ineq, L, mu, g) for g in grid)
                 assert step.rho_star <= best + 1e-12
 
 
