@@ -12,6 +12,7 @@ grad_f(x) when h = 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -27,6 +28,11 @@ CONTRACTION_SIGNIFICANCE = 1e2
 
 # residual-norm tolerance of the reference run behind estimate_fstar
 FSTAR_STOP_TOL = 1e-13
+
+# a run stops at an iterate equal, bit for bit, to one of this many
+# iterates before it; floating-point orbits of period up to 42 were seen
+# on srlr at 0.5/L, and the bound keeps the memory of a run at O(64*d)
+CYCLE_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,10 @@ class Trace:
     residual_norms: np.ndarray
     gradients: np.ndarray
     subgradients: np.ndarray
-    stopped_on: str  # "stop_tol" | "max_iters"
+    # "stop_tol" (residual norm at most stop_tol) | "max_iters" (budget
+    # ran out) | "cycle" (the last point repeats one of the CYCLE_WINDOW
+    # points before it bit for bit, so later rows would repeat earlier ones)
+    stopped_on: str
     increase_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     @property
@@ -119,23 +128,30 @@ class _Eval(NamedTuple):
     y: np.ndarray  # next point
     s_next: np.ndarray
     residual: np.ndarray
+    rnorm: float  # ||residual||
 
 
 def _evaluate(problem: CompositeProblem, gamma: float, x: np.ndarray, index: int) -> _Eval:
+    """One step from x. Call it with numpy's invalid-value warnings off:
+    a NaN or inf in g or y reaches rnorm, sometimes through inf - inf."""
     fval = float(problem.f.value(x))
     g = np.asarray(problem.f.gradient(x), dtype=float)
-    if not np.isfinite(fval) or not np.all(np.isfinite(g)):
-        raise NonFiniteError(f"non-finite f value/gradient at iteration {index}", index)
     hval = float(problem.h.value(x))
-    if not np.isfinite(hval):
-        raise NonFiniteError(f"non-finite h value at iteration {index}", index)
     u = x - gamma * g
     y = np.asarray(problem.h.prox(u, gamma), dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteError(f"non-finite prox output at iteration {index}", index)
     s_next = (u - y) / gamma
     residual = g + s_next
-    return _Eval(fval + hval, g, y, s_next, residual)
+    rnorm = float(np.linalg.norm(residual))
+    # one scalar test per step; the array tests run only when it fails,
+    # and pass when the norm alone overflowed
+    if not (math.isfinite(fval) and math.isfinite(hval) and math.isfinite(rnorm)):
+        if not np.isfinite(fval) or not np.all(np.isfinite(g)):
+            raise NonFiniteError(f"non-finite f value/gradient at iteration {index}", index)
+        if not np.isfinite(hval):
+            raise NonFiniteError(f"non-finite h value at iteration {index}", index)
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteError(f"non-finite prox output at iteration {index}", index)
+    return _Eval(fval + hval, g, y, s_next, residual, rnorm)
 
 
 def residual(problem: CompositeProblem, gamma: float, x) -> tuple[np.ndarray, float]:
@@ -145,28 +161,48 @@ def residual(problem: CompositeProblem, gamma: float, x) -> tuple[np.ndarray, fl
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("non-finite point passed to residual")
-    ev = _evaluate(problem, gamma, x, 0)
-    return ev.residual, float(np.linalg.norm(ev.residual))
+    with np.errstate(invalid="ignore"):
+        ev = _evaluate(problem, gamma, x, 0)
+    return ev.residual, ev.rnorm
 
 
 def _iterates(problem: CompositeProblem, gamma: float, x1, max_iters: int, stop_tol: float):
-    """Yield (x_i, _evaluate(x_i), ||G_gamma(x_i)||) for i = 1, 2, ...
-    through the first point whose residual norm is at most stop_tol, or
-    through x_{max_iters+1} when the budget runs out first."""
+    """Yield (x_i, _evaluate(x_i), stop) for i = 1, 2, ...; `stop` is None
+    except on the last point, where it is the run's `Trace.stopped_on`.
+
+    The run stops at the first point whose residual norm is at most
+    stop_tol, or that equals one of the CYCLE_WINDOW points before it
+    (the map is deterministic, so every later row would repeat an
+    earlier one), or at x_{max_iters+1}. Consume it with numpy's
+    invalid-value warnings off (see `_evaluate`).
+    """
     x = np.array(x1, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("non-finite starting point")
+    recent = {}  # byte keys of the last CYCLE_WINDOW points, oldest first
     for i in range(1, max_iters + 2):
         ev = _evaluate(problem, gamma, x, i)
-        rnorm = float(np.linalg.norm(ev.residual))
-        yield x, ev, rnorm
-        if rnorm <= stop_tol:
+        key = x.tobytes()
+        if ev.rnorm <= stop_tol:
+            stop = "stop_tol"
+        elif key in recent:
+            stop = "cycle"
+        elif i > max_iters:
+            stop = "max_iters"
+        else:
+            stop = None
+        yield x, ev, stop
+        if stop is not None:
             return
+        recent[key] = None
+        if len(recent) > CYCLE_WINDOW:
+            del recent[next(iter(recent))]
         x = ev.y
 
 
 def run_pgm(problem: CompositeProblem, config: PgmConfig, x1) -> Trace:
-    """Run the iteration from x1 until stop_tol on ||G_gamma|| or max_iters.
+    """Run the iteration from x1 until stop_tol on ||G_gamma||, a
+    floating-point cycle, or max_iters.
 
     A value increase is recorded (not an error): with a valid step the
     objective is nonincreasing, so increases flag modeling or scaling
@@ -174,12 +210,11 @@ def run_pgm(problem: CompositeProblem, config: PgmConfig, x1) -> Trace:
     """
     config.validate(problem.f.lipschitz)
     gamma = config.step
-    rows = [
-        (x, ev.g, ev.s_next, ev.F, rnorm)
-        for x, ev, rnorm in _iterates(problem, gamma, x1, config.max_iters, config.stop_tol)
-    ]
+    rows = []
+    with np.errstate(invalid="ignore"):
+        for x, ev, stopped_on in _iterates(problem, gamma, x1, config.max_iters, config.stop_tol):
+            rows.append((x, ev.g, ev.s_next, ev.F, ev.rnorm))
     points, grads, subs, F_vals, res_norms = (np.array(col) for col in zip(*rows))
-    stopped_on = "stop_tol" if res_norms[-1] <= config.stop_tol else "max_iters"
     # flag only increases that exceed evaluation roundoff
     floor = 8.0 * _EPS * (1.0 + np.abs(F_vals[:-1]))
     increases = np.nonzero(np.diff(F_vals) > floor)[0] + 1
@@ -198,9 +233,11 @@ def run_pgm(problem: CompositeProblem, config: PgmConfig, x1) -> Trace:
 class FstarEstimate(NamedTuple):
     """Best objective value found by a long reference run.
 
-    `stale` is set when the budget ran out before the residual tolerance
-    was met, i.e. the value may still be improvable. `iterations` counts
-    the steps taken, as `Trace.iterations` does.
+    `stale` is set only when the budget ran out, i.e. the value may
+    still be improvable. A run that stops at a floating-point cycle is
+    not stale: further steps would revisit the same points, so they
+    cannot lower the best value. `iterations` counts the steps taken, as
+    `Trace.iterations` does.
     """
 
     value: float
@@ -210,7 +247,7 @@ class FstarEstimate(NamedTuple):
 
 def estimate_fstar(problem: CompositeProblem, x1, max_iters: int = 200_000) -> FstarEstimate:
     """Surrogate optimal value from a long run with step 1/L, stopped at
-    FSTAR_STOP_TOL on the residual norm.
+    FSTAR_STOP_TOL on the residual norm or at a floating-point cycle.
 
     Only the best value is kept, so budgets in the hundreds of thousands
     of iterations stay cheap.
@@ -218,6 +255,7 @@ def estimate_fstar(problem: CompositeProblem, x1, max_iters: int = 200_000) -> F
     config = PgmConfig(1.0 / problem.f.lipschitz, max_iters, FSTAR_STOP_TOL)
     config.validate(problem.f.lipschitz)
     best = np.inf
-    for steps, (_, ev, rnorm) in enumerate(_iterates(problem, config.step, x1, max_iters, FSTAR_STOP_TOL)):
-        best = min(best, ev.F)
-    return FstarEstimate(best, stale=rnorm > FSTAR_STOP_TOL, iterations=steps)
+    with np.errstate(invalid="ignore"):
+        for steps, (_, ev, stop) in enumerate(_iterates(problem, config.step, x1, max_iters, FSTAR_STOP_TOL)):
+            best = min(best, ev.F)
+    return FstarEstimate(best, stale=stop == "max_iters", iterations=steps)

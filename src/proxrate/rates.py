@@ -51,12 +51,14 @@ class RateResult:
 
 
 def _check_domain(L, mu, gamma):
-    """L > 0 and 0 < mu < inf, then gamma in (0, 2/L), so every rate
-    denominator is positive."""
+    """L > 0, 0 < mu < inf and a float mu/L that is neither 0 nor inf,
+    then gamma in (0, 2/L), so every rate denominator is positive."""
     if not L > 0:
         raise DomainError(f"L must be positive, got {L!r}")
     if not 0 < mu < math.inf:
         raise DomainError(f"mu must be positive and finite, got {mu!r}")
+    if not 0 < mu / L < math.inf:
+        raise DomainError(f"mu/L must be positive and finite in floating point, got L={L!r}, mu={mu!r}")
     if not 0 < gamma < 2.0 / L:
         raise DomainError(f"gamma out of (0, 2/L): gamma={gamma!r}, L={L!r}")
 

@@ -124,6 +124,20 @@ class TestSolveAndExperiment:
         assert "iterations=" in out and "stopped_on=" in out
         assert out_csv.read_text().startswith("iter,F,gap,residual_norm,contraction")
 
+    def test_solve_reports_a_cycle_stop(self, capsys):
+        # criterion 7's srlr instance at seed 0, run at 0.5/L to the roundoff floor
+        from proxrate.problem import generate_instance
+
+        gamma = 0.5 / generate_instance("srlr", 200, 20, 0.1, seed=0).problem().f.lipschitz
+        code, out, err = run_cli(
+            ["solve", "--kind", "srlr", "--seed", "0", "--gamma", repr(gamma),
+             "--max-iters", "60000", "--stop-tol", "1e-14"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        assert out.endswith(" stopped_on=cycle\n")
+        assert int(out.split()[0].removeprefix("iterations=")) < 60_000
+
     def test_solve_roundtrip_from_instance_file(self, tmp_path, capsys):
         from proxrate.problem import generate_instance
 

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from proxrate.errors import DomainError, NonFiniteError
-from proxrate.pgm import PgmConfig, estimate_fstar, residual, run_pgm
+from proxrate.pgm import CYCLE_WINDOW, PgmConfig, _evaluate, estimate_fstar, residual, run_pgm
 from proxrate.problem import (
     CompositeProblem,
+    ProxOperator,
     SmoothOracle,
     generate_instance,
     l1_prox,
@@ -146,6 +149,100 @@ class TestEstimateFstar:
         data = generate_instance("lasso", 40, 6, 0.1, seed=3)
         est = estimate_fstar(data.problem(), np.zeros(6), max_iters=3)
         assert est.stale
+
+    def test_cycling_reference_run_is_not_stale(self):
+        # scaled up, the residual's roundoff floor (about 1e-11) lies above
+        # FSTAR_STOP_TOL, and the 1/L run cycles instead of meeting it
+        data = generate_instance("lasso", 40, 6, 0.1, seed=0)
+        problem = CompositeProblem(least_squares_oracle(data.A, 1e4 * data.b), l1_prox(1e3))
+        est = estimate_fstar(problem, np.zeros(6))
+        trace = run_pgm(problem, PgmConfig(1.0 / problem.f.lipschitz, 200_000, 1e-13), np.zeros(6))
+        assert trace.stopped_on == "cycle"
+        assert trace.residual_norms[-1] > 1e-13
+        assert not est.stale
+        assert est.iterations == trace.iterations < 200_000
+        assert est.value == trace.F_vals.min()
+
+
+class TestCycleStop:
+    @pytest.fixture(scope="class")
+    def run(self):
+        # criterion 7's srlr instance at seed 0 and its 0.5/L policy
+        problem = generate_instance("srlr", 200, 20, 0.1, seed=0).problem()
+        trace = run_pgm(problem, PgmConfig(0.5 / problem.f.lipschitz, 60_000, 1e-14), np.zeros(20))
+        return problem, trace
+
+    def test_stops_at_a_repeated_point(self, run):
+        _, trace = run
+        assert trace.stopped_on == "cycle"
+        assert trace.iterations < 60_000
+        last = trace.final_point.tobytes()
+        window = trace.points[-CYCLE_WINDOW - 1 : -1]
+        assert any(p.tobytes() == last for p in window)
+        # and it is the first repeat: the points before it are distinct
+        keys = [p.tobytes() for p in trace.points[:-1]]
+        assert len(set(keys)) == len(keys)
+
+    def test_later_steps_add_no_new_values(self, run):
+        problem, trace = run
+        x, F_more = trace.final_point, []
+        for i in range(2 * CYCLE_WINDOW):
+            ev = _evaluate(problem, trace.gamma, x, i)
+            F_more.append(ev.F)
+            x = ev.y
+        assert set(F_more) <= set(trace.F_vals)
+        longer = dataclasses.replace(trace, F_vals=np.concatenate([trace.F_vals, F_more]))
+        # both with the reference value and below it, where the cycle's
+        # gaps clear the significance floor and yield factors
+        fstar = estimate_fstar(problem, np.zeros(20)).value
+        below = float(trace.F_vals.min()) - 1e-6
+        for ref in (fstar, below):
+            assert set(longer.contraction_factors(ref)) <= set(trace.contraction_factors(ref))
+        assert longer.contraction_factors(below).size > trace.contraction_factors(below).size
+
+
+def broken_problem(value=0.5, gradient=1.0, h_value=0.0, prox=zero_prox().prox):
+    # 2-d oracles that return the given constants
+    f = SmoothOracle(lambda x: value, lambda x: np.full(2, gradient), lipschitz=1.0)
+    return CompositeProblem(f, ProxOperator(lambda x: h_value, prox))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            (broken_problem(value=np.nan), "non-finite f value/gradient at iteration 1"),
+            (broken_problem(value=np.inf), "non-finite f value/gradient at iteration 1"),
+            (broken_problem(gradient=np.nan), "non-finite f value/gradient at iteration 1"),
+            (broken_problem(gradient=np.inf), "non-finite f value/gradient at iteration 1"),
+            (broken_problem(gradient=-np.inf), "non-finite f value/gradient at iteration 1"),
+            (broken_problem(h_value=np.nan), "non-finite h value at iteration 1"),
+            (broken_problem(h_value=np.inf), "non-finite h value at iteration 1"),
+            (broken_problem(prox=lambda u, g: np.full(2, np.nan)), "non-finite prox output at iteration 1"),
+            (broken_problem(prox=lambda u, g: np.full(2, np.inf)), "non-finite prox output at iteration 1"),
+            (broken_problem(prox=lambda u, g: u if u[0] > -2.0 else np.full(2, np.nan)),
+             "non-finite prox output at iteration 2"),
+        ],
+    )
+    def test_message_and_index(self, problem, message):
+        # the first failing array check names the error; no numpy warning
+        # escapes (pytest turns warnings into errors)
+        with pytest.raises(NonFiniteError) as info:
+            run_pgm(problem, PgmConfig(step=1.0, max_iters=5, stop_tol=0.0), np.zeros(2))
+        assert str(info.value) == message
+        assert info.value.iteration == int(message.rsplit(" ", 1)[1])
+        with pytest.raises(NonFiniteError, match=message):
+            estimate_fstar(problem, np.zeros(2), max_iters=5)
+
+    def test_overflowing_residual_norm_alone_proceeds(self):
+        # finite values, gradient and prox output whose residual norm
+        # overflows: the run goes on, as with per-array checks
+        problem = broken_problem(value=0.0, gradient=1e200)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            trace = run_pgm(problem, PgmConfig(step=1.0, max_iters=3, stop_tol=0.0), np.zeros(2))
+        assert trace.stopped_on == "max_iters"
+        assert np.all(np.isinf(trace.residual_norms))
+        assert np.all(np.isfinite(trace.points))
 
 
 class TestTraceExport:

@@ -78,11 +78,15 @@ class TestValidation:
             ("convex", "rpl", 1.0, 0.0, 0.5),
             ("nonconvex", "rpl", 1.0, math.inf, 1.0),
             ("convex", "pl", 1.0, math.inf, 1.0),
+            ("nonconvex", "rpl", 1e-300, 1e10, 1e299),
+            ("convex", "rpl", 1e-300, 1e10, 1.5e300),
+            ("convex", "pl", 1e300, 1e-300, 1e-300),
         ],
     )
     def test_formula_rejects_nonpositive_constants(self, args):
         # unchecked, these divide by zero (L = 0; mu = -0.5 at gamma = 1), give rho = 1 (mu = 0),
-        # or give rho = nan or 0 (mu = inf)
+        # give rho = nan or 0 (mu = inf), or give rho = nan (mu/L overflows to inf);
+        # mu/L underflowing to 0 is refused like mu = 0
         with pytest.raises(DomainError):
             rate_formula(*args)
 
