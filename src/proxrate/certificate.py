@@ -21,9 +21,20 @@ multiplier nonnegativity, and nonpositivity of the remainder form.
 Dividing f and h by L scales every constraint and both gaps by 1/L, so
 the formulas are rational in (t, q) = (L*gamma, mu/L) and verification
 runs at L = 1; an exact mode runs the same checks in Fraction arithmetic.
+
+The checks read per-constraint coefficient tables, not the Gram algebra.
+At L = 1 every operand is affine in t (x2 = -t*(g1 + s2)), each definition
+is at most bilinear in its operands, and mu enters only as 1/(2*mu) on a
+t-free square, so every entry of a constraint's Q and c is a polynomial
+of degree <= 2 in t and <= 1 in u = 1/q. `_table` derives those
+coefficients from build_constraint at six exact points and guards the
+degree bound at a seventh, lazily and once per process, and the
+combination and the remainder are accumulated from nonzero coefficients
+only, with one code path for Fraction scalars and float gamma grids.
 """
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -212,6 +223,61 @@ def build_constraint(name: str, L, mu, gamma) -> GramExpression:
 
 
 # ---------------------------------------------------------------------------
+# coefficient tables
+
+_NE = _NV * _NV + _NS  # expression entries: Q flattened, then c
+_F2, _H1, _H2 = range(_NV * _NV, _NE)
+
+
+def _expression(entries, t, q, exact) -> GramExpression:
+    """The expression with these _NE entries, each a number or an array
+    on the broadcast shape of (t, q)."""
+    a = np.empty(np.broadcast_shapes(np.shape(t), np.shape(q)) + (_NE,), dtype=object if exact else float)
+    for e, value in enumerate(entries):
+        a[..., e] = value
+    return GramExpression(a[..., : _NV * _NV].reshape(a.shape[:-1] + (_NV, _NV)), a[..., _NV * _NV :])
+
+
+def _features(t, u):
+    """The monomials a table's coefficients multiply, with u = 1/q."""
+    t2 = t * t
+    return (1, t, t2, u, t * u, t2 * u)
+
+
+@functools.cache
+def _table(name: str, exact: bool) -> tuple:
+    """Constraint `name` at L = 1 as (feature, ((entry, coefficient), ...))
+    rows, indexing `_features` and the _NE entries, nonzero coefficients
+    only; Fractions in exact mode, floats otherwise.
+
+    The coefficients come from finite differences of build_constraint on
+    the exact grid t in {0, 1, 2} x u in {1, 2}, which determines any
+    polynomial of degree <= 2 in t and <= 1 in u. One more exact point,
+    (t, u) = (3, 3), guards that bound: a constraint outside the span
+    raises VerificationError instead of passing with a wrong table.
+    """
+    if not exact:  # multiples of 1/4, so the floats are exact
+        return tuple((f, tuple((e, float(c)) for e, c in row)) for f, row in _table(name, True))
+
+    def entries(t, u):
+        expr = build_constraint(name, 1, Fraction(1, u), Fraction(t))
+        return np.concatenate([expr.Q.ravel(), expr.c])
+
+    v = {(t, u): entries(t, u) for t in (0, 1, 2) for u in (1, 2)}
+    coeffs = []
+    for p0, p1, p2 in ([2 * v[t, 1] - v[t, 2] for t in (0, 1, 2)], [v[t, 2] - v[t, 1] for t in (0, 1, 2)]):
+        c2 = (p2 - 2 * p1 + p0) / 2  # the u^0 part, then the u^1 part
+        coeffs += [p0, p1 - p0 - c2, c2]
+    if np.any(entries(3, 3) != sum(c * x for c, x in zip(coeffs, _features(3, 3)))):
+        raise VerificationError(f"constraint {name} is not of degree <= 2 in t and <= 1 in 1/q")
+    return tuple(
+        (f, tuple((e, c) for e, c in enumerate(column) if c))
+        for f, column in enumerate(coeffs)
+        if any(column)
+    )
+
+
+# ---------------------------------------------------------------------------
 # the eight certificates
 
 
@@ -241,22 +307,36 @@ class Certificate:
         return above & below
 
     def remainder_expression(self, t, q) -> GramExpression:
-        """coeff * ||w||^2 with w = sum of weight * vector symbol."""
-        sym = _SYMBOLS[_is_exact(t, q)]
-        if self.remainder_coeff is None:
-            return _batched(sym.zero, 1, q, t)
-        w = sym.x1  # the zero vector
-        for name, weight in self.remainder_weights(t, q).items():
-            w = w + weight * getattr(sym, name)
-        return self.remainder_coeff(t, q) * (w @ w)
+        """coeff * ||w||^2 with w = sum of weight * vector symbol, written
+        entry by entry as coeff * w_i * w_j."""
+        exact = _is_exact(t, q)
+        entries = [Fraction(0) if exact else 0.0] * _NE
+        if self.remainder_coeff is not None:
+            coeff = self.remainder_coeff(t, q)
+            w = [(VECTOR_SYMBOLS.index(name), weight) for name, weight in self.remainder_weights(t, q).items()]
+            for k, (i, wi) in enumerate(w):
+                for j, wj in w[k:]:
+                    entries[_NV * i + j] = entries[_NV * j + i] = coeff * (wi * wj)
+        return _expression(entries, t, q, exact)
 
-    def weighted_combination(self, t, q) -> GramExpression:
-        """objective - rho*gap - sum(multiplier * constraint), at L = 1."""
-        sym = _SYMBOLS[_is_exact(t, q)]
-        expr = sym.f2 + sym.h2 - self.rate(1, q, t) * sym.h1
-        for cname, _label, formula in self.multipliers:
-            expr = expr - formula(1, q, t) * build_constraint(cname, 1, q, t)
-        return expr
+    def weighted_combination(self, t, q, values=None) -> GramExpression:
+        """objective - rho*gap - sum(multiplier * constraint), at L = 1,
+        accumulated over the constraints' coefficient tables. `values` are
+        the multipliers at (1, q, t), in catalog order, when already known."""
+        if values is None:
+            values = [formula(1, q, t) for _cname, _label, formula in self.multipliers]
+        exact = _is_exact(t, q)
+        one = Fraction(1) if exact else 1.0
+        entries = [0 * one] * _NE
+        entries[_F2] = entries[_H2] = one
+        entries[_H1] = -self.rate(1, q, t)
+        features = _features(t, one / q)
+        for (cname, _label, _formula), m in zip(self.multipliers, values):
+            for f, row in _table(cname, exact):
+                mf = m * features[f] if f else m
+                for e, coeff in row:
+                    entries[e] = entries[e] - coeff * mf
+        return _expression(entries, t, q, exact)
 
 
 def _certificate(multipliers, rho, **fields) -> Certificate:
@@ -496,7 +576,10 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
         num, dtype, mult_tol, identity_tol, eig_tol = float, float, MULTIPLIER_TOL, IDENTITY_TOL, EIGENVALUE_TOL
     Lx = num(float(L))
     q = num(float(mu)) / Lx
-    t = np.array([Lx * num(g) for g in gamma_arr], dtype=dtype) if np.ndim(gamma) else Lx * num(gamma_arr[0])
+    # float mode: the same IEEE products as one per point
+    t = np.array([Lx * num(g) for g in gamma_arr], dtype=dtype) if exact else Lx * gamma_arr
+    if not np.ndim(gamma):
+        t = num(t[0])
 
     def per_gamma(value):
         return np.broadcast_to(np.asarray(value, dtype=dtype), gamma_arr.shape)
@@ -507,8 +590,9 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
         if bad.any():
             failures.append(f"{message} at gamma={float(gamma_arr[bad.argmax()])!r}")
 
-    values = np.stack([per_gamma(formula(1, q, t)) for _cname, _label, formula in cert.multipliers])
-    combo = cert.weighted_combination(t, q)
+    raw = [formula(1, q, t) for _cname, _label, formula in cert.multipliers]
+    values = np.stack([per_gamma(m) for m in raw])
+    combo = cert.weighted_combination(t, q, raw)
     remainder = cert.remainder_expression(t, q)
     coeff = per_gamma(num(0) if cert.remainder_coeff is None else cert.remainder_coeff(t, q))
     mults = {

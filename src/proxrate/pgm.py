@@ -151,6 +151,9 @@ def _evaluate(problem: CompositeProblem, gamma: float, x: np.ndarray, index: int
             raise NonFiniteError(f"non-finite h value at iteration {index}", index)
         if not np.all(np.isfinite(y)):
             raise NonFiniteError(f"non-finite prox output at iteration {index}", index)
+        if np.all(np.isfinite(residual)):  # the squares overflowed: rescale
+            m = float(np.max(np.abs(residual)))
+            rnorm = m * float(np.linalg.norm(residual / m))
     return _Eval(fval + hval, g, y, s_next, residual, rnorm)
 
 

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,6 +386,79 @@ class TestScaleInvariance:
                 return str(exc).replace(f"gamma={p[2]!r}", "")
 
         assert search(scaled) == search(unit)
+
+
+def reference_combination(cert, t, q, values, rho):
+    """f2 + h2 - rho*h1 - sum(m * constraint) in the Gram algebra of
+    build_constraint, with the multiplier values and rate given."""
+    combo = cm.GramExpression(np.full((3, 3), Fraction(0), dtype=object), np.array([1, -rho, 1], dtype=object))
+    for (cname, _label, _formula), m in zip(cert.multipliers, values):
+        combo = combo - m * cm.build_constraint(cname, 1, q, t)
+    return combo
+
+
+class TestCoefficientTables:
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(
+        case=st.sampled_from([c.case_id for c in cm.certificate_catalog()]),
+        t=st.fractions(-3, 5, max_denominator=10**6),
+        q=st.fractions(Fraction(1, 1000), 3, max_denominator=10**6),
+    )
+    def test_tables_equal_the_constraint_algebra(self, case, t, q):
+        # t and q range past every interval and past mu <= L
+        for name in cm.CONSTRAINT_NAMES:
+            entries = [Fraction(0)] * 12
+            features = cm._features(t, 1 / q)
+            for f, row in cm._table(name, True):
+                for e, coeff in row:
+                    entries[e] += coeff * features[f]
+            want = cm.build_constraint(name, 1, q, t)
+            assert entries == want.Q.ravel().tolist() + want.c.tolist(), name
+
+        cert = cm.certificate_for(case)
+        try:
+            values = [formula(1, q, t) for _cname, _label, formula in cert.multipliers]
+            rho = cert.rate(1, q, t)
+        except ZeroDivisionError:  # a formula's pole
+            return
+        got = cert.weighted_combination(t, q)
+        want = reference_combination(cert, t, q, values, rho)
+        assert got.Q.tolist() == want.Q.tolist() and got.c.tolist() == want.c.tolist()
+
+        # float mode, at float points near t, against the exact algebra at
+        # the same float inputs and float multipliers: only the tables'
+        # float arithmetic differs, so it must agree to roundoff
+        ts = float(t) + np.arange(3) / 8
+        qf = float(q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = [formula(1, qf, ts) for _cname, _label, formula in cert.multipliers]
+            rho = cert.rate(1, qf, ts)
+        got = cert.weighted_combination(ts, qf, values)
+        for i, ti in enumerate(ts):
+            vi = [np.broadcast_to(v, ts.shape)[i] for v in values]
+            if not np.all(np.isfinite(vi + [rho[i]])):
+                continue
+            want = reference_combination(cert, Fraction(ti), Fraction(qf), [Fraction(float(v)) for v in vi], Fraction(rho[i]))
+            err = float((cm.GramExpression(got.Q[i], got.c[i]) - want).max_abs())
+            # relative to the largest term of the sum
+            terms = [abs(v) * float(cm.build_constraint(c, 1, qf, ti).max_abs()) for (c, _l, _f), v in zip(cert.multipliers, vi)]
+            assert err <= 1e-14 * max([1, abs(rho[i])] + terms), (case, ti)
+
+    def test_guard_rejects_a_constraint_outside_the_span(self, monkeypatch):
+        original = cm.build_constraint
+        monkeypatch.setattr(cm, "build_constraint", lambda name, L, mu, gamma: gamma**3 * original(name, L, mu, gamma))
+        with pytest.raises(VerificationError, match="degree"):
+            cm._table.__wrapped__("C12", True)  # uncached, so no table is replaced
+
+    def test_tables_are_built_on_first_use(self):
+        code = (
+            "from proxrate import certificate as cm; n = cm._table.cache_info().currsize; "
+            "cm.sweep_verify('Thm4.1', 1.0, 0.1, [1.0]); print(n, cm._table.cache_info().currsize)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cm.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        # none at import; Thm4.1's three float tables and the exact ones they come from
+        assert out.stdout.split() == ["0", "6"]
 
 
 class TestConsequenceOnTraces:

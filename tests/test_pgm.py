@@ -235,13 +235,13 @@ class TestNonFinite:
             estimate_fstar(problem, np.zeros(2), max_iters=5)
 
     def test_overflowing_residual_norm_alone_proceeds(self):
-        # finite values, gradient and prox output whose residual norm
-        # overflows: the run goes on, as with per-array checks
+        # finite values, gradient and prox output whose residual's squares
+        # overflow: the run goes on, and the norm is rescaled to stay finite
         problem = broken_problem(value=0.0, gradient=1e200)
         with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
             trace = run_pgm(problem, PgmConfig(step=1.0, max_iters=3, stop_tol=0.0), np.zeros(2))
         assert trace.stopped_on == "max_iters"
-        assert np.all(np.isinf(trace.residual_norms))
+        assert np.allclose(trace.residual_norms, np.sqrt(2) * 1e200, rtol=1e-15, atol=0)
         assert np.all(np.isfinite(trace.points))
 
 
