@@ -7,11 +7,10 @@ then live over the vector symbols (g1, g2, s2) and linear parts over the
 scalar symbols (f2, h1, h2), with h1 = F(x1) - F*; the second iterate
 never appears because x2 = -gamma*(g1 + s2) is substituted once, and
 optimal-point gradients are eliminated by g* + s* = 0. Each constraint
-is one of the interp definitions evaluated on these symbols: a scalar
-symbol is a GramExpression, the one expression type, and the inner
-product of two vector symbols is one too, so a definition computes its
-Q and c directly. A parameter array (a gamma grid) enters as leading
-batch axes that every expression broadcasts over.
+is defined once, as one of the interp definitions evaluated on these
+symbols: a scalar symbol is a GramExpression, the one expression type,
+and the inner product of two vector symbols is one too, so a definition
+computes its Q and c directly, in Fraction arithmetic at L = 1.
 A certificate stores the closed-form multipliers and the expected
 remainder; verification checks, per gamma,
 
@@ -22,15 +21,17 @@ Dividing f and h by L scales every constraint and both gaps by 1/L, so
 the formulas are rational in (t, q) = (L*gamma, mu/L) and verification
 runs at L = 1; an exact mode runs the same checks in Fraction arithmetic.
 
-The checks read per-constraint coefficient tables, not the Gram algebra.
-At L = 1 every operand is affine in t (x2 = -t*(g1 + s2)), each definition
-is at most bilinear in its operands, and mu enters only as 1/(2*mu) on a
-t-free square, so every entry of a constraint's Q and c is a polynomial
-of degree <= 2 in t and <= 1 in u = 1/q. `_table` derives those
-coefficients from build_constraint at six exact points and guards the
-degree bound at a seventh, lazily and once per process, and the
-combination and the remainder are accumulated from nonzero coefficients
-only, with one code path for Fraction scalars and float gamma grids.
+Everything else reads per-constraint coefficient tables, not the Gram
+algebra. At L = 1 every operand is affine in t (x2 = -t*(g1 + s2)), each
+definition is at most bilinear in its operands, and mu enters only as
+1/(2*mu) on a t-free square, so every entry of a constraint's Q and c is
+a polynomial of degree <= 2 in t and <= 1 in u = 1/q. `_table` derives
+those coefficients from the exact L = 1 definition at six points and
+guards the degree bound at a seventh, lazily and once per process. A
+constraint at any (L, mu, gamma), a combination and a remainder are
+accumulated from nonzero coefficients only, in one code path for
+Fraction scalars and float arrays; a parameter array (a gamma grid)
+enters as leading batch axes of the table reads.
 """
 from __future__ import annotations
 
@@ -62,24 +63,15 @@ def _is_exact(*values) -> bool:
     return any(isinstance(v, Fraction) for v in values)
 
 
-def _zero_array(shape, exact):
-    # exact-mode arrays must carry Fraction(0), not int 0: an int zero
-    # turns into float 0.0 under /2 and would poison later sums
-    if exact:
-        return np.full(shape, Fraction(0), dtype=object)
-    return np.zeros(shape, dtype=float)
-
-
 @dataclass
 class GramExpression:
     """Quadratic-plus-linear expression over the fixed symbol bases.
 
     Q is (..., 3, 3) symmetric over VECTOR_SYMBOLS and c is (..., 3) over
-    SCALAR_SYMBOLS. Expressions add and subtract, and multiply or divide
-    by a weight; an array weight carries leading (batch) axes, so one
-    expression can carry a whole gamma grid, and Q and c broadcast over
-    them independently. dtype=object carries exact Fractions through the
-    same code paths.
+    SCALAR_SYMBOLS; leading (batch) axes carry a parameter grid, and
+    Q and c broadcast over them independently. Expressions add and
+    subtract, and multiply or divide by a scalar weight. dtype=object
+    carries exact Fractions through the same code paths.
     """
 
     Q: np.ndarray
@@ -94,10 +86,10 @@ class GramExpression:
         return GramExpression(self.Q - other.Q, self.c - other.c)
 
     def __rmul__(self, w):
-        return GramExpression(_expand(w, 2) * self.Q, _expand(w, 1) * self.c)
+        return GramExpression(w * self.Q, w * self.c)
 
     def __truediv__(self, d):
-        return GramExpression(self.Q / _expand(d, 2), self.c / _expand(d, 1))
+        return GramExpression(self.Q / d, self.c / d)
 
     def evaluate(self, gram, scalars):
         """Value on a concrete Gram matrix and scalar assignment."""
@@ -110,22 +102,14 @@ class GramExpression:
         return np.maximum(np.abs(self.Q).max((-1, -2)), np.abs(self.c).max(-1))
 
 
-def _expand(w, axes):
-    """A scalar as is; an array with `axes` trailing axes appended."""
-    if isinstance(w, np.ndarray) and w.ndim:
-        return w[(...,) + (None,) * axes]
-    return w
-
-
 # ---------------------------------------------------------------------------
-# Gram symbols as operands of the interp definitions
+# Gram symbols as operands of the interp definitions, in Fractions
 
 
 class _Vec:
-    """A vector operand: coefficients over VECTOR_SYMBOLS, (..., 3)."""
+    """A vector operand: coefficients over VECTOR_SYMBOLS."""
 
     __slots__ = ("a",)
-    __array_ufunc__ = None  # numpy scalars and arrays defer to __rmul__
 
     def __init__(self, a):
         self.a = a
@@ -137,39 +121,28 @@ class _Vec:
         return _Vec(self.a - other.a)
 
     def __rmul__(self, w):
-        return _Vec(_expand(w, 1) * self.a)
+        return _Vec(w * self.a)
 
     def __matmul__(self, other):
         """<a, b> as the expression Q = sym(a b^T)."""
-        P = self.a[..., :, None] * other.a[..., None, :]
-        Q = (P + np.swapaxes(P, -1, -2)) / 2
-        return GramExpression(Q, _zero_array(_NS, Q.dtype == object))
+        P = np.outer(self.a, other.a)
+        return GramExpression((P + P.T) / 2, _SYMBOLS.zero.c)
 
 
+# g1, g2, s2, f2, h1, h2, the gauge's x1 = 0 and the zero scalar F* = 0, with
+# Fraction entries: an int zero would turn into float 0.0 under /2
 _Symbols = namedtuple("_Symbols", "g1 g2 s2 f2 h1 h2 x1 zero")
+_ZERO = GramExpression(np.full((_NV, _NV), Fraction(0)), np.full(_NS, Fraction(0)))
+_SYMBOLS = _Symbols(
+    *map(_Vec, np.eye(_NV, dtype=object) * Fraction(1)),
+    *(GramExpression(_ZERO.Q, row) for row in np.eye(_NS, dtype=object) * Fraction(1)),
+    _Vec(np.full(_NV, Fraction(0))),
+    _ZERO,
+)
 
 
-def _symbols(exact):
-    def frozen(a):  # shared by every expression built from the symbols
-        a.flags.writeable = False
-        return a
-
-    one = Fraction(1) if exact else 1.0
-    dtype = object if exact else float
-    vectors = [_Vec(row) for row in frozen(np.eye(_NV, dtype=dtype) * one)]
-    zero_Q = frozen(_zero_array((_NV, _NV), exact))
-    scalars = [GramExpression(zero_Q, row) for row in frozen(np.eye(_NS, dtype=dtype) * one)]
-    zero = GramExpression(zero_Q, frozen(_zero_array(_NS, exact)))
-    return _Symbols(*vectors, *scalars, _Vec(frozen(_zero_array(_NV, exact))), zero)
-
-
-# g1, g2, s2, f2, h1, h2, the gauge's x1 = 0 and the zero scalar F* = 0,
-# for float and exact mode
-_SYMBOLS = {exact: _symbols(exact) for exact in (False, True)}
-
-
-def _gram_operands(L, mu, gamma, exact):
-    g1, g2, s2, f2, h1, h2, x1, zero = _SYMBOLS[exact]
+def _gram_operands(mu, gamma):
+    g1, g2, s2, f2, h1, h2, x1, zero = _SYMBOLS
     # the gauge: moving the points, shifting f and h by opposite constants
     # and shifting F and F* together change no constraint, so x1 = 0,
     # f(x1) = 0 and F* = 0, and h1 stands for F(x1) - F*
@@ -179,7 +152,7 @@ def _gram_operands(L, mu, gamma, exact):
         "tf1": Point(x1, g1, zero), "tf2": Point(x2, g2, f2),
         "th1": Point(x1, None, h1), "th2": Point(x2, s2, h2),
         "F1": h1, "F2": f2 + h2, "Fstar": zero, "G1": G1,
-        "g2": g2, "s2": s2, "L": L, "mu": mu,
+        "g2": g2, "s2": s2, "L": 1, "mu": mu,
     }
 
 
@@ -199,27 +172,12 @@ _CONSTRAINTS["Eprime1"] = _CONSTRAINTS["E1"]
 CONSTRAINT_NAMES = tuple(_CONSTRAINTS)
 
 
-def _batched(expr: GramExpression, L, mu, gamma) -> GramExpression:
-    """expr with Q and c on the broadcast shape of the parameters."""
-    batch = np.broadcast_shapes(np.shape(L), np.shape(mu), np.shape(gamma))
-
-    def fit(a, shape):
-        return a if a.shape == shape else np.broadcast_to(a, shape).copy()
-
-    return GramExpression(fit(expr.Q, batch + (_NV, _NV)), fit(expr.c, batch + (_NS,)))
-
-
-def build_constraint(name: str, L, mu, gamma) -> GramExpression:
-    """Named constraint as a Gram expression: its interp definition
-    evaluated on the Gram operands, with x2 substituted out."""
-    if name not in _CONSTRAINTS:
-        raise DomainError(f"unknown constraint name {name!r}")
-    exact = _is_exact(L, mu, gamma)
-    if not exact:
-        L, mu, gamma = (np.asarray(v, dtype=float) if np.shape(v) else float(v) for v in (L, mu, gamma))
+def _definition(name: str, q: Fraction, t: Fraction) -> GramExpression:
+    """Constraint `name` at L = 1, mu = q and gamma = t: its interp
+    definition evaluated on the Gram operands, with x2 substituted out."""
     definition, names = _CONSTRAINTS[name]
-    operands = _gram_operands(L, mu, gamma, exact)
-    return _batched(definition(*(operands[n] for n in names)), L, mu, gamma)
+    operands = _gram_operands(q, t)
+    return definition(*(operands[n] for n in names))
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +208,19 @@ def _table(name: str, exact: bool) -> tuple:
     rows, indexing `_features` and the _NE entries, nonzero coefficients
     only; Fractions in exact mode, floats otherwise.
 
-    The coefficients come from finite differences of build_constraint on
-    the exact grid t in {0, 1, 2} x u in {1, 2}, which determines any
-    polynomial of degree <= 2 in t and <= 1 in u. One more exact point,
-    (t, u) = (3, 3), guards that bound: a constraint outside the span
-    raises VerificationError instead of passing with a wrong table.
+    The coefficients come from finite differences of the exact L = 1
+    definition (`_definition`) on the grid t in {0, 1, 2} x u in {1, 2},
+    which determines any polynomial of degree <= 2 in t and <= 1 in u.
+    One more exact point, (t, u) = (3, 3), guards that bound: a
+    constraint outside the span raises VerificationError instead of
+    passing with a wrong table. Batch axes come from the table reads,
+    never from the definition.
     """
     if not exact:  # multiples of 1/4, so the floats are exact
         return tuple((f, tuple((e, float(c)) for e, c in row)) for f, row in _table(name, True))
 
     def entries(t, u):
-        expr = build_constraint(name, 1, Fraction(1, u), Fraction(t))
+        expr = _definition(name, Fraction(1, u), Fraction(t))
         return np.concatenate([expr.Q.ravel(), expr.c])
 
     v = {(t, u): entries(t, u) for t in (0, 1, 2) for u in (1, 2)}
@@ -275,6 +235,32 @@ def _table(name: str, exact: bool) -> tuple:
         for f, column in enumerate(coeffs)
         if any(column)
     )
+
+
+def _accumulate(entries, terms, features, exact) -> list:
+    """entries + sum(m * table) over the (constraint name, m) terms, the
+    tables read at `features`; updates and returns the list."""
+    for name, m in terms:
+        for f, row in _table(name, exact):
+            mf = m * features[f] if f else m
+            for e, coeff in row:
+                entries[e] = entries[e] + coeff * mf
+    return entries
+
+
+def build_constraint(name: str, L, mu, gamma) -> GramExpression:
+    """Named constraint as a Gram expression, read off its table at
+    (t, u) = (L*gamma, L/mu): dividing f and h by L scales Q by 1/L and
+    leaves c as it is. Fraction parameters give Fraction entries, others
+    floats; array parameters give leading batch axes."""
+    if name not in _CONSTRAINTS:
+        raise DomainError(f"unknown constraint name {name!r}")
+    exact = _is_exact(L, mu, gamma)
+    if not exact:
+        L, mu, gamma = (np.asarray(v, dtype=float) if np.shape(v) else float(v) for v in (L, mu, gamma))
+    t, u = L * gamma, L / mu
+    entries = _accumulate([Fraction(0) if exact else 0.0] * _NE, [(name, 1)], _features(t, u), exact)
+    return _expression([v / L for v in entries[:_F2]] + entries[_F2:], t, u, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +316,9 @@ class Certificate:
         entries = [0 * one] * _NE
         entries[_F2] = entries[_H2] = one
         entries[_H1] = -self.rate(1, q, t)
-        features = _features(t, one / q)
-        for (cname, _label, _formula), m in zip(self.multipliers, values):
-            for f, row in _table(cname, exact):
-                mf = m * features[f] if f else m
-                for e, coeff in row:
-                    entries[e] = entries[e] - coeff * mf
-        return _expression(entries, t, q, exact)
+        # IEEE negation is exact: adding coeff * (-m * x) is subtracting coeff * (m * x)
+        terms = [(cname, -m) for (cname, _label, _formula), m in zip(self.multipliers, values)]
+        return _expression(_accumulate(entries, terms, _features(t, one / q), exact), t, q, exact)
 
 
 def _certificate(multipliers, rho, **fields) -> Certificate:

@@ -67,21 +67,30 @@ class CompositeProblem:
 
 
 def _check_data(A, b):
+    """Float A and b and A^T A; DomainError unless A is a nonzero matrix,
+    b a vector to match and all three are finite (with no overflow warning)."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2:
         raise DomainError("A must be a 2-d matrix")
     if b.ndim != 1 or b.shape[0] != A.shape[0]:
         raise DomainError(f"b has length {b.shape[0] if b.ndim == 1 else '?'}, expected {A.shape[0]}")
+    for name, a in (("A", A), ("b", b)):
+        if not np.isfinite(a).all():
+            raise DomainError(f"{name} must be finite")
     if not np.any(A):
         raise DomainError("A must be nonzero")
-    return A, b
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
+        gram = A.T @ A
+    if not np.isfinite(gram).all():
+        raise DomainError("A^T A overflows")
+    return A, b, gram
 
 
 def least_squares_oracle(A, b) -> SmoothOracle:
     """Smooth part 0.5*||Ax - b||^2 with L = lambda_max(A^T A)."""
-    A, b = _check_data(A, b)
-    L = float(np.linalg.eigvalsh(A.T @ A)[-1])
+    A, b, gram = _check_data(A, b)
+    L = float(np.linalg.eigvalsh(gram)[-1])
 
     def value(x):
         r = A @ x - b
@@ -100,8 +109,8 @@ def robust_log_oracle(A, b) -> SmoothOracle:
     2*lambda_max(A^T A) is a valid (conservative) gradient Lipschitz
     constant for the composition.
     """
-    A, b = _check_data(A, b)
-    L = 2.0 * float(np.linalg.eigvalsh(A.T @ A)[-1])
+    A, b, gram = _check_data(A, b)
+    L = 2.0 * float(np.linalg.eigvalsh(gram)[-1])
 
     def value(x):
         r = A @ x - b
@@ -189,7 +198,7 @@ class ProblemData:
         # lmin(A^T A) + delta is the strong-convexity modulus of F, which
         # gives the subgradient form everywhere; the prox-residual form
         # holds only at a modulus shrunk by the step-dependent prox factor
-        mu = float(np.linalg.eigvalsh(self.A.T @ self.A)[0]) + self.delta
+        mu = float(np.linalg.eigvalsh(_check_data(self.A, self.b)[2])[0]) + self.delta
         return CompositeProblem(
             least_squares_oracle(self.A, self.b),
             elastic_net_prox(self.lam, self.delta),
@@ -216,6 +225,8 @@ class ProblemData:
         try:
             doc = json.loads(text)
             n, d = int(doc["n"]), int(doc["d"])
+            if n < 1 or d < 1:  # reshape would infer a -1
+                raise ValueError(f"n and d must be positive, got n={n}, d={d}")
             fields = dict(
                 kind=doc["kind"],
                 A=np.asarray(doc["A"], dtype=float).reshape(n, d),

@@ -389,11 +389,11 @@ class TestScaleInvariance:
 
 
 def reference_combination(cert, t, q, values, rho):
-    """f2 + h2 - rho*h1 - sum(m * constraint) in the Gram algebra of
-    build_constraint, with the multiplier values and rate given."""
+    """f2 + h2 - rho*h1 - sum(m * constraint) in the exact Gram algebra of
+    the interp definitions, with the multiplier values and rate given."""
     combo = cm.GramExpression(np.full((3, 3), Fraction(0), dtype=object), np.array([1, -rho, 1], dtype=object))
     for (cname, _label, _formula), m in zip(cert.multipliers, values):
-        combo = combo - m * cm.build_constraint(cname, 1, q, t)
+        combo = combo - m * cm._definition(cname, q, t)
     return combo
 
 
@@ -403,8 +403,9 @@ class TestCoefficientTables:
         case=st.sampled_from([c.case_id for c in cm.certificate_catalog()]),
         t=st.fractions(-3, 5, max_denominator=10**6),
         q=st.fractions(Fraction(1, 1000), 3, max_denominator=10**6),
+        L=st.fractions(Fraction(1, 1000), 1000, max_denominator=10**6),
     )
-    def test_tables_equal_the_constraint_algebra(self, case, t, q):
+    def test_tables_equal_the_constraint_algebra(self, case, t, q, L):
         # t and q range past every interval and past mu <= L
         for name in cm.CONSTRAINT_NAMES:
             entries = [Fraction(0)] * 12
@@ -412,8 +413,11 @@ class TestCoefficientTables:
             for f, row in cm._table(name, True):
                 for e, coeff in row:
                     entries[e] += coeff * features[f]
-            want = cm.build_constraint(name, 1, q, t)
+            want = cm._definition(name, q, t)
             assert entries == want.Q.ravel().tolist() + want.c.tolist(), name
+            # at L, Q scales by 1/L and c does not
+            got = cm.build_constraint(name, L, q * L, t / L)
+            assert got.Q.tolist() == (want.Q / L).tolist() and got.c.tolist() == want.c.tolist(), name
 
         cert = cm.certificate_for(case)
         try:
@@ -445,8 +449,8 @@ class TestCoefficientTables:
             assert err <= 1e-14 * max([1, abs(rho[i])] + terms), (case, ti)
 
     def test_guard_rejects_a_constraint_outside_the_span(self, monkeypatch):
-        original = cm.build_constraint
-        monkeypatch.setattr(cm, "build_constraint", lambda name, L, mu, gamma: gamma**3 * original(name, L, mu, gamma))
+        original = cm._definition
+        monkeypatch.setattr(cm, "_definition", lambda name, q, t: t**3 * original(name, q, t))
         with pytest.raises(VerificationError, match="degree"):
             cm._table.__wrapped__("C12", True)  # uncached, so no table is replaced
 

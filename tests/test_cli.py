@@ -162,14 +162,43 @@ class TestSolveAndExperiment:
             "[1, 2]",
             '{"kind": "lasso"}',
             '{"kind": "lasso", "n": 2, "d": 2, "lambda": 0.1, "delta": null, "seed": 0, "A": [1, 2, 3], "b": [1, 2]}',
+            # reshape(-1, d) would infer the row count and run the instance
+            '{"kind": "lasso", "n": -1, "d": 2, "lambda": 0.1, "delta": null, "seed": 0, "A": [1, 2, 3, 4], "b": [1, 2]}',
+            '{"kind": "lasso", "n": 4, "d": -1, "lambda": 0.1, "delta": null, "seed": 0, "A": [1, 2, 3, 4], "b": [1, 2, 3, 4]}',
         ],
-        ids=["list", "missing-fields", "A-not-n-by-d"],
+        ids=["list", "missing-fields", "A-not-n-by-d", "negative-n", "negative-d"],
     )
     def test_solve_non_instance_json_is_domain_error(self, doc, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(doc)
         code, _, err = run_cli(["solve", "--problem", str(bad)], capsys)
         assert code == 3 and err.startswith("error:domain: bad instance document:"), err
+
+    @pytest.mark.parametrize(
+        "kind, A, b, message",
+        [
+            ("lasso", [1.0, float("inf"), 3.0, 4.0], [1.0, 2.0], "A must be finite"),
+            ("lasso", [1.0, 2.0, float("nan"), 4.0], [1.0, 2.0], "A must be finite"),
+            ("lasso", [1.0, 2.0, 3.0, 4.0], [float("nan"), 2.0], "b must be finite"),
+            ("lasso", [1e300, 2.0, 3.0, 4.0], [1.0, 2.0], "A^T A overflows"),
+            ("srlr", [1e300, 2.0, 3.0, 4.0], [1.0, 2.0], "A^T A overflows"),
+            ("elastic_net", [1e300, 2.0, 3.0, 4.0], [1.0, 2.0], "A^T A overflows"),
+            ("lasso", [1e300, 1e300, 1e300, -1e300], [1.0, 2.0], "A^T A overflows"),
+        ],
+        ids=["A-inf", "A-nan", "b-nan", "lasso-overflow", "srlr-overflow", "elastic-net-overflow", "inf-minus-inf"],
+    )
+    def test_bad_instance_data_is_one_stderr_line(self, kind, A, b, message, tmp_path):
+        # a subprocess, so a numpy RuntimeWarning would reach stderr as it does for users
+        doc = {"kind": kind, "n": 2, "d": 2, "lambda": 0.1, "delta": 0.1 if kind == "elastic_net" else None,
+               "seed": 0, "A": A, "b": b}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "proxrate.cli", "solve", "--problem", str(bad)],
+            env=SRC_ENV, capture_output=True, text=True,
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == f"error:domain: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, weight",
