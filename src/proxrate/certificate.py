@@ -30,8 +30,13 @@ those coefficients from the exact L = 1 definition at six points and
 guards the degree bound at a seventh, lazily and once per process. A
 constraint at any (L, mu, gamma), a combination and a remainder are
 accumulated from nonzero coefficients only, in one code path for
-Fraction scalars and float arrays; a parameter array (a gamma grid)
-enters as leading batch axes of the table reads.
+Fraction scalars and float arrays.
+
+An expression is stored as one array of its nine free entries, Q's upper
+triangle row by row and then c, entries first, with a parameter grid's
+batch axes after them. A symmetric Q has six free entries, so no mirrored
+entry is accumulated twice, and every reduction over an expression
+(largest entry, residual, trace) runs over axis 0.
 """
 from __future__ import annotations
 
@@ -63,33 +68,76 @@ def _is_exact(*values) -> bool:
     return any(isinstance(v, Fraction) for v in values)
 
 
-@dataclass
+# an expression's entries, first axis: Q's upper triangle row by row
+# (Q00, Q01, Q02, Q11, Q12, Q22), then c (f2, h1, h2)
+_UPPER = np.triu_indices(_NV)
+_NQ = len(_UPPER[0])
+_NE = _NQ + _NS
+_F2, _H1, _H2 = range(_NQ, _NE)
+_Q_ENTRY = np.empty((_NV, _NV), dtype=int)  # the entry holding Q[i, j]
+_Q_ENTRY[_UPPER] = _Q_ENTRY[_UPPER[::-1]] = range(_NQ)
+
+
 class GramExpression:
     """Quadratic-plus-linear expression over the fixed symbol bases.
 
-    Q is (..., 3, 3) symmetric over VECTOR_SYMBOLS and c is (..., 3) over
-    SCALAR_SYMBOLS; leading (batch) axes carry a parameter grid, and
-    Q and c broadcast over them independently. Expressions add and
-    subtract, and multiply or divide by a scalar weight. dtype=object
+    Stored as one array `a` of shape (9, *batch): the free entries of the
+    symmetric Q over VECTOR_SYMBOLS (its upper triangle, row by row), then
+    c over SCALAR_SYMBOLS, with the batch axes (a parameter grid) last.
+    Entries first, a reduction over an expression is one reduction over
+    axis 0, and no mirrored entry is computed or stored twice. Q is read
+    as (..., 3, 3) and c as (..., 3), batch axes first; the constructor
+    takes them in that form, and a nonsymmetric Q stands for its
+    symmetric part. Expressions add and subtract, broadcasting their
+    batch axes, and multiply or divide by a scalar weight. dtype=object
     carries exact Fractions through the same code paths.
     """
 
-    Q: np.ndarray
-    c: np.ndarray
-
+    __slots__ = ("a",)
     __array_ufunc__ = None  # numpy scalars and arrays defer to __rmul__
 
+    def __init__(self, Q, c):
+        Q, c = np.asarray(Q), np.asarray(c)
+        batch = np.broadcast_shapes(Q.shape[:-2], c.shape[:-1])
+        upper = (Q[..., _UPPER[0], _UPPER[1]] + Q[..., _UPPER[1], _UPPER[0]]) / 2
+        entries = [np.broadcast_to(x, batch + x.shape[-1:]) for x in (upper, c)]
+        self.a = np.moveaxis(np.concatenate(entries, -1), -1, 0)
+
+    @classmethod
+    def _of(cls, a):
+        """The expression with entry array `a`, of shape (9, *batch)."""
+        expr = cls.__new__(cls)
+        expr.a = a
+        return expr
+
+    @property
+    def Q(self):
+        """Q as a (..., 3, 3) symmetric array, batch axes first; a copy."""
+        return np.moveaxis(self.a[_Q_ENTRY], (0, 1), (-2, -1))
+
+    @property
+    def c(self):
+        """c as a (..., 3) array, batch axes first; a copy."""
+        return np.moveaxis(self.a[[_F2, _H1, _H2]], 0, -1)
+
+    def _pair(self, other):
+        """Both entry arrays, padded to one rank so that their batch axes align."""
+        a, b = self.a, other.a
+        return a.reshape(a.shape + (1,) * (b.ndim - a.ndim)), b.reshape(b.shape + (1,) * (a.ndim - b.ndim))
+
     def __add__(self, other):
-        return GramExpression(self.Q + other.Q, self.c + other.c)
+        a, b = self._pair(other)
+        return GramExpression._of(a + b)
 
     def __sub__(self, other):
-        return GramExpression(self.Q - other.Q, self.c - other.c)
+        a, b = self._pair(other)
+        return GramExpression._of(a - b)
 
     def __rmul__(self, w):
-        return GramExpression(w * self.Q, w * self.c)
+        return GramExpression._of(w * self.a)
 
     def __truediv__(self, d):
-        return GramExpression(self.Q / d, self.c / d)
+        return GramExpression._of(self.a / d)
 
     def evaluate(self, gram, scalars):
         """Value on a concrete Gram matrix and scalar assignment."""
@@ -98,8 +146,12 @@ class GramExpression:
         return (self.Q * gram).sum((-1, -2)) + (self.c * scalars).sum(-1)
 
     def max_abs(self):
-        """Largest coefficient magnitude, reduced over the symbol axes."""
-        return np.maximum(np.abs(self.Q).max((-1, -2)), np.abs(self.c).max(-1))
+        """Largest coefficient magnitude, per batch point."""
+        return np.abs(self.a).max(0)
+
+    def trace(self):
+        """Trace of Q, per batch point."""
+        return self.a[np.diag(_Q_ENTRY)].sum(0)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +177,7 @@ class _Vec:
 
     def __matmul__(self, other):
         """<a, b> as the expression Q = sym(a b^T)."""
-        P = np.outer(self.a, other.a)
-        return GramExpression((P + P.T) / 2, _SYMBOLS.zero.c)
+        return GramExpression(np.outer(self.a, other.a), _ZERO.c)
 
 
 # g1, g2, s2, f2, h1, h2, the gauge's x1 = 0 and the zero scalar F* = 0, with
@@ -183,17 +234,13 @@ def _definition(name: str, q: Fraction, t: Fraction) -> GramExpression:
 # ---------------------------------------------------------------------------
 # coefficient tables
 
-_NE = _NV * _NV + _NS  # expression entries: Q flattened, then c
-_F2, _H1, _H2 = range(_NV * _NV, _NE)
-
-
 def _expression(entries, t, q, exact) -> GramExpression:
     """The expression with these _NE entries, each a number or an array
     on the broadcast shape of (t, q)."""
-    a = np.empty(np.broadcast_shapes(np.shape(t), np.shape(q)) + (_NE,), dtype=object if exact else float)
+    a = np.empty((_NE,) + np.broadcast_shapes(np.shape(t), np.shape(q)), dtype=object if exact else float)
     for e, value in enumerate(entries):
-        a[..., e] = value
-    return GramExpression(a[..., : _NV * _NV].reshape(a.shape[:-1] + (_NV, _NV)), a[..., _NV * _NV :])
+        a[e] = value
+    return GramExpression._of(a)
 
 
 def _features(t, u):
@@ -220,8 +267,7 @@ def _table(name: str, exact: bool) -> tuple:
         return tuple((f, tuple((e, float(c)) for e, c in row)) for f, row in _table(name, True))
 
     def entries(t, u):
-        expr = _definition(name, Fraction(1, u), Fraction(t))
-        return np.concatenate([expr.Q.ravel(), expr.c])
+        return _definition(name, Fraction(1, u), Fraction(t)).a
 
     v = {(t, u): entries(t, u) for t in (0, 1, 2) for u in (1, 2)}
     coeffs = []
@@ -292,17 +338,19 @@ class Certificate:
         below = t <= hi * (1 + tol) if hi_closed else t < hi * (1 - tol)
         return above & below
 
-    def remainder_expression(self, t, q) -> GramExpression:
+    def remainder_expression(self, t, q, coeff=None) -> GramExpression:
         """coeff * ||w||^2 with w = sum of weight * vector symbol, written
-        entry by entry as coeff * w_i * w_j."""
+        entry by entry as coeff * w_i * w_j. `coeff` is remainder_coeff(t, q),
+        when already known."""
         exact = _is_exact(t, q)
         entries = [Fraction(0) if exact else 0.0] * _NE
         if self.remainder_coeff is not None:
-            coeff = self.remainder_coeff(t, q)
+            if coeff is None:
+                coeff = self.remainder_coeff(t, q)
             w = [(VECTOR_SYMBOLS.index(name), weight) for name, weight in self.remainder_weights(t, q).items()]
             for k, (i, wi) in enumerate(w):
                 for j, wj in w[k:]:
-                    entries[_NV * i + j] = entries[_NV * j + i] = coeff * (wi * wj)
+                    entries[_Q_ENTRY[i, j]] = coeff * (wi * wj)
         return _expression(entries, t, q, exact)
 
     def weighted_combination(self, t, q, values=None) -> GramExpression:
@@ -564,6 +612,8 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
         t = num(t[0])
 
     def per_gamma(value):
+        if np.shape(value) == gamma_arr.shape:
+            return value
         return np.broadcast_to(np.asarray(value, dtype=dtype), gamma_arr.shape)
 
     failures = []
@@ -574,23 +624,26 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
 
     raw = [formula(1, q, t) for _cname, _label, formula in cert.multipliers]
     values = np.stack([per_gamma(m) for m in raw])
+    floats = values.astype(float)
+    raw_coeff = None if cert.remainder_coeff is None else cert.remainder_coeff(t, q)
     combo = cert.weighted_combination(t, q, raw)
-    remainder = cert.remainder_expression(t, q)
-    coeff = per_gamma(num(0) if cert.remainder_coeff is None else cert.remainder_coeff(t, q))
+    remainder = cert.remainder_expression(t, q, raw_coeff)
+    coeff = per_gamma(num(0) if raw_coeff is None else raw_coeff)
     mults = {
-        label: row.astype(float) if row.size > 1 else float(row[0])
-        for (_cname, label, _formula), row in zip(cert.multipliers, values)
+        label: row if row.size > 1 else float(row[0])
+        for (_cname, label, _formula), row in zip(cert.multipliers, floats)
     }
-    min_mult = float(values.astype(float).min())
+    min_mult = float(floats.min())
 
     # a NaN compares false and so fails; on an object array the comparison
     # would also raise the floating-point invalid flag
     with np.errstate(invalid="ignore"):
         check(~(values >= -mult_tol).all(0), f"negative multiplier {min_mult:.3e}")
 
-        rel = (combo - remainder).max_abs()
-        if np.any(rel):  # relative to the largest term; a zero residual stays zero
-            rel = rel / np.maximum(np.maximum(combo.max_abs(), remainder.max_abs()), 1)
+        rel = num(0)  # relative to the largest term; a zero residual stays zero
+        diff = combo.a - remainder.a
+        if np.any(diff):
+            rel = np.abs(diff).max(0) / np.maximum(np.maximum(combo.max_abs(), remainder.max_abs()), 1)
         rel = per_gamma(rel)
         rel_residual = float(rel.max())
         check(~(rel <= identity_tol), f"identity residual {rel_residual:.3e} exceeds {identity_tol:.1e}")
@@ -598,7 +651,7 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
     check(~(coeff <= eig_tol), f"remainder coefficient positive: {float(coeff.max()):.3e}")
     # the remainder is coeff * w w^T, one explicit square: its eigenvalues
     # are 0 and trace = coeff * ||w||^2
-    trace = per_gamma(np.trace(remainder.Q, axis1=-2, axis2=-1))
+    trace = per_gamma(remainder.trace())
     max_eig = float(max(0, trace.max()))
     check(~(trace <= eig_tol), f"remainder not negative semidefinite: max eig {float(trace.max()):.3e}")
 

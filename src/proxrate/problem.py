@@ -28,8 +28,8 @@ class SmoothOracle:
     lipschitz: float
 
     def __post_init__(self):
-        if not self.lipschitz > 0:
-            raise DomainError("lipschitz constant must be positive")
+        if not 0 < self.lipschitz < np.inf:
+            raise DomainError(f"lipschitz constant must be positive and finite, got {self.lipschitz!r}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,10 @@ class CompositeProblem:
 
 
 def _check_data(A, b):
-    """Float A and b and A^T A; DomainError unless A is a nonzero matrix,
-    b a vector to match and all three are finite (with no overflow warning)."""
+    """Float A and b and the ascending eigenvalues of A^T A; DomainError
+    unless A is a nonzero matrix, b a vector to match, and A, b, A^T A and
+    its largest eigenvalue are finite (with no overflow warning): a finite
+    A^T A can still have an infinite largest eigenvalue."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2:
@@ -84,13 +86,15 @@ def _check_data(A, b):
         gram = A.T @ A
     if not np.isfinite(gram).all():
         raise DomainError("A^T A overflows")
-    return A, b, gram
+    eig = np.linalg.eigvalsh(gram)
+    if not eig[-1] < np.inf:
+        raise DomainError(f"lambda_max(A^T A) overflows: {float(eig[-1])!r}")
+    return A, b, eig
 
 
-def least_squares_oracle(A, b) -> SmoothOracle:
-    """Smooth part 0.5*||Ax - b||^2 with L = lambda_max(A^T A)."""
-    A, b, gram = _check_data(A, b)
-    L = float(np.linalg.eigvalsh(gram)[-1])
+def _least_squares(A, b):
+    """The least-squares oracle and the spectrum it took L from."""
+    A, b, eig = _check_data(A, b)
 
     def value(x):
         r = A @ x - b
@@ -99,7 +103,12 @@ def least_squares_oracle(A, b) -> SmoothOracle:
     def gradient(x):
         return A.T @ (A @ x - b)
 
-    return SmoothOracle(value, gradient, L)
+    return SmoothOracle(value, gradient, float(eig[-1])), eig
+
+
+def least_squares_oracle(A, b) -> SmoothOracle:
+    """Smooth part 0.5*||Ax - b||^2 with L = lambda_max(A^T A)."""
+    return _least_squares(A, b)[0]
 
 
 def robust_log_oracle(A, b) -> SmoothOracle:
@@ -109,8 +118,8 @@ def robust_log_oracle(A, b) -> SmoothOracle:
     2*lambda_max(A^T A) is a valid (conservative) gradient Lipschitz
     constant for the composition.
     """
-    A, b, gram = _check_data(A, b)
-    L = 2.0 * float(np.linalg.eigvalsh(gram)[-1])
+    A, b, eig = _check_data(A, b)
+    L = 2.0 * float(eig[-1])
 
     def value(x):
         r = A @ x - b
@@ -198,9 +207,10 @@ class ProblemData:
         # lmin(A^T A) + delta is the strong-convexity modulus of F, which
         # gives the subgradient form everywhere; the prox-residual form
         # holds only at a modulus shrunk by the step-dependent prox factor
-        mu = float(np.linalg.eigvalsh(_check_data(self.A, self.b)[2])[0]) + self.delta
+        f, eig = _least_squares(self.A, self.b)
+        mu = float(eig[0]) + self.delta
         return CompositeProblem(
-            least_squares_oracle(self.A, self.b),
+            f,
             elastic_net_prox(self.lam, self.delta),
             mu=mu,
             mu_inequality="pl",

@@ -94,6 +94,27 @@ class TestCatalog:
             assert np.allclose(va, vb, rtol=1e-15)
 
 
+class TestGramExpression:
+    @pytest.mark.parametrize("num", [float, Fraction])
+    @pytest.mark.parametrize("batch", [(), (9,), (2, 3)])
+    def test_q_and_c_round_trip(self, rng, num, batch):
+        def cast(x):
+            return np.vectorize(num, otypes=[object if num is Fraction else float])(x)
+
+        M = rng.integers(-9, 10, size=batch + (3, 3))
+        Q, c = cast(M + np.swapaxes(M, -1, -2)), cast(rng.integers(-9, 10, size=batch + (3,)))
+        expr = cm.GramExpression(Q, c)
+        assert expr.Q.shape == Q.shape and expr.Q.dtype == Q.dtype and np.array_equal(expr.Q, Q)
+        assert expr.c.shape == c.shape and expr.c.dtype == c.dtype and np.array_equal(expr.c, c)
+        # a nonsymmetric Q stands for its symmetric part, as <Q, G> does
+        assert np.array_equal(cm.GramExpression(cast(M), c).Q, cast(M + np.swapaxes(M, -1, -2)) / 2)
+        # an unbatched operand broadcasts over the batch axes, also when
+        # there are as many batch points as entries
+        point = cm.GramExpression(Q[(0,) * len(batch)], c[(0,) * len(batch)])
+        diff = expr - point
+        assert np.array_equal(diff.Q, Q - point.Q) and np.array_equal(diff.c, c - point.c)
+
+
 class TestBuildConstraint:
     def test_unknown_name(self):
         with pytest.raises(DomainError):
@@ -198,6 +219,19 @@ class TestVerification:
                 assert chk.min_multiplier >= -1e-14
                 assert chk.remainder_max_eigenvalue <= 1e-10
 
+    def test_grid_reports_equal_pointwise_reports(self):
+        # the reductions over a grid run over the entry axis only: each
+        # point's values are those of a one-point call, bit for bit
+        for cert in cm.certificate_catalog():
+            grid = cm.interval_grid(cert, 1.3, 9)
+            chk = cm.verify_certificate(cert, 1.3, 0.2, grid)
+            points = [cm.verify_certificate(cert, 1.3, 0.2, float(g)) for g in grid]
+            for i, point in enumerate(points):
+                assert {k: v[i] for k, v in chk.multipliers.items()} == point.multipliers, (cert.case_id, i)
+                assert chk.remainder_coefficient[i] == point.remainder_coefficient, (cert.case_id, i)
+            assert chk.identity_residual == max(point.identity_residual for point in points), cert.case_id
+            assert chk.remainder_max_eigenvalue == max(point.remainder_max_eigenvalue for point in points)
+
     def test_equality_case_combination_is_identically_zero(self, rng):
         cert = cm.certificate_for("Thm4.2-case2")
         for _ in range(20):
@@ -266,6 +300,8 @@ class TestVerification:
         assert any("identity residual" in f for f in chk.failures)
         chk_exact = cm.verify_certificate(bad, 1.0, 0.1, 0.9, exact=True)
         assert not chk_exact.ok
+        assert chk_exact.identity_residual > 0
+        assert any("identity residual" in f for f in chk_exact.failures)
 
     def test_gamma_outside_interval_rejected(self):
         cert = cm.certificate_for("Thm3.2-case1")
@@ -408,13 +444,13 @@ class TestCoefficientTables:
     def test_tables_equal_the_constraint_algebra(self, case, t, q, L):
         # t and q range past every interval and past mu <= L
         for name in cm.CONSTRAINT_NAMES:
-            entries = [Fraction(0)] * 12
+            entries = [Fraction(0)] * 9
             features = cm._features(t, 1 / q)
             for f, row in cm._table(name, True):
                 for e, coeff in row:
                     entries[e] += coeff * features[f]
             want = cm._definition(name, q, t)
-            assert entries == want.Q.ravel().tolist() + want.c.tolist(), name
+            assert entries == want.Q[np.triu_indices(3)].tolist() + want.c.tolist(), name
             # at L, Q scales by 1/L and c does not
             got = cm.build_constraint(name, L, q * L, t / L)
             assert got.Q.tolist() == (want.Q / L).tolist() and got.c.tolist() == want.c.tolist(), name

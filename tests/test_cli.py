@@ -184,8 +184,13 @@ class TestSolveAndExperiment:
             ("srlr", [1e300, 2.0, 3.0, 4.0], [1.0, 2.0], "A^T A overflows"),
             ("elastic_net", [1e300, 2.0, 3.0, 4.0], [1.0, 2.0], "A^T A overflows"),
             ("lasso", [1e300, 1e300, 1e300, -1e300], [1.0, 2.0], "A^T A overflows"),
+            # A^T A is finite, its largest eigenvalue is not
+            ("lasso", [9e153, 9e153, 9e153, 9e153], [1.0, 2.0], "lambda_max(A^T A) overflows: inf"),
         ],
-        ids=["A-inf", "A-nan", "b-nan", "lasso-overflow", "srlr-overflow", "elastic-net-overflow", "inf-minus-inf"],
+        ids=[
+            "A-inf", "A-nan", "b-nan", "lasso-overflow", "srlr-overflow", "elastic-net-overflow", "inf-minus-inf",
+            "lambda-max-overflow",
+        ],
     )
     def test_bad_instance_data_is_one_stderr_line(self, kind, A, b, message, tmp_path):
         # a subprocess, so a numpy RuntimeWarning would reach stderr as it does for users

@@ -208,6 +208,19 @@ class TestSpectral:
             data = generate_instance("elastic_net", 30, 8, 0.1, seed=seed, delta=0.5)
             assert data.problem().mu == np.linalg.eigvalsh(data.A.T @ data.A)[0] + 0.5
 
+    def test_elastic_net_problem_runs_one_eigensolve(self, monkeypatch):
+        data = generate_instance("elastic_net", 30, 8, 0.1, seed=0, delta=0.5)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        data.problem()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("lipschitz", [0.0, -1.0, np.inf, np.nan])
+    def test_lipschitz_must_be_positive_and_finite(self, lipschitz):
+        with pytest.raises(DomainError, match="positive and finite"):
+            SmoothOracle(lambda x: 0.0, np.zeros_like, lipschitz)
+
 
 class TestInstances:
     def test_elastic_net_mu(self):
