@@ -19,7 +19,12 @@ remainder; verification checks, per gamma,
 multiplier nonnegativity, and nonpositivity of the remainder form.
 Dividing f and h by L scales every constraint and both gaps by 1/L, so
 the formulas are rational in (t, q) = (L*gamma, mu/L) and verification
-runs at L = 1; an exact mode runs the same checks in Fraction arithmetic.
+runs at L = 1. An exact mode evaluates the formulas in Fraction
+arithmetic and decides the identity and every sign on integers: the
+multipliers and the rate over one common denominator, the features
+t^i u^j over (den t)^2 (den u), so an entry of the combination is an
+integer over one denominator as well, and the identity is integer
+equality with the remainder's numerators.
 
 Everything else reads per-constraint coefficient tables, not the Gram
 algebra. At L = 1 every operand is affine in t (x2 = -t*(g1 + s2)), each
@@ -27,10 +32,11 @@ definition is at most bilinear in its operands, and mu enters only as
 1/(2*mu) on a t-free square, so every entry of a constraint's Q and c is
 a polynomial of degree <= 2 in t and <= 1 in u = 1/q. `_table` derives
 those coefficients from the exact L = 1 definition at six points and
-guards the degree bound at a seventh, lazily and once per process. A
-constraint at any (L, mu, gamma), a combination and a remainder are
-accumulated from nonzero coefficients only, in one code path for
-Fraction scalars and float arrays.
+guards the degree bound at a seventh, lazily and once per process; every
+coefficient is a multiple of 1/4, so the exact table holds integers, 4
+times each coefficient. A constraint at any (L, mu, gamma) and a
+combination are accumulated from nonzero coefficients only, in one loop
+over float arrays or over integer numerators.
 
 An expression is stored as one array of its nine free entries, Q's upper
 triangle row by row and then c, entries first, with a parameter grid's
@@ -41,6 +47,7 @@ entry is accumulated twice, and every reduction over an expression
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -249,22 +256,38 @@ def _features(t, u):
     return (1, t, t2, u, t * u, t2 * u)
 
 
+def _feature_numerators(t, q):
+    """`_features` at rationals t and u = 1/q as integers over one
+    denominator, (den t)^2 * (num q): (numerators, denominator)."""
+    a, b, c, d = t.numerator, t.denominator, q.denominator, q.numerator
+    return (b * b * d, a * b * d, a * a * d, b * b * c, a * b * c, a * a * c), b * b * d
+
+
+def _over_lcm(values):
+    """Rationals as integers over their least common denominator:
+    (numerators, denominator)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 @functools.cache
 def _table(name: str, exact: bool) -> tuple:
     """Constraint `name` at L = 1 as (feature, ((entry, coefficient), ...))
     rows, indexing `_features` and the _NE entries, nonzero coefficients
-    only; Fractions in exact mode, floats otherwise.
+    only; in exact mode integers, 4 times each coefficient, and floats,
+    the coefficients themselves, otherwise.
 
     The coefficients come from finite differences of the exact L = 1
     definition (`_definition`) on the grid t in {0, 1, 2} x u in {1, 2},
     which determines any polynomial of degree <= 2 in t and <= 1 in u.
     One more exact point, (t, u) = (3, 3), guards that bound: a
     constraint outside the span raises VerificationError instead of
-    passing with a wrong table. Batch axes come from the table reads,
-    never from the definition.
+    passing with a wrong table, and so does a coefficient that is not a
+    multiple of 1/4. Batch axes come from the table reads, never from the
+    definition.
     """
     if not exact:  # multiples of 1/4, so the floats are exact
-        return tuple((f, tuple((e, float(c)) for e, c in row)) for f, row in _table(name, True))
+        return tuple((f, tuple((e, c / 4) for e, c in row)) for f, row in _table(name, True))
 
     def entries(t, u):
         return _definition(name, Fraction(1, u), Fraction(t)).a
@@ -276,19 +299,24 @@ def _table(name: str, exact: bool) -> tuple:
         coeffs += [p0, p1 - p0 - c2, c2]
     if np.any(entries(3, 3) != sum(c * x for c, x in zip(coeffs, _features(3, 3)))):
         raise VerificationError(f"constraint {name} is not of degree <= 2 in t and <= 1 in 1/q")
+    quarters = [4 * column for column in coeffs]
+    if any(c.denominator != 1 for column in quarters for c in column):
+        raise VerificationError(f"constraint {name} has a coefficient that is not a multiple of 1/4")
     return tuple(
-        (f, tuple((e, c) for e, c in enumerate(column) if c))
-        for f, column in enumerate(coeffs)
+        (f, tuple((e, int(c)) for e, c in enumerate(column) if c))
+        for f, column in enumerate(quarters)
         if any(column)
     )
 
 
 def _accumulate(entries, terms, features, exact) -> list:
     """entries + sum(m * table) over the (constraint name, m) terms, the
-    tables read at `features`; updates and returns the list."""
+    tables read at `features`; updates and returns the list. Floats read
+    the float tables, and integers (m and the feature numerators) the
+    exact ones, 4 times the coefficients."""
     for name, m in terms:
         for f, row in _table(name, exact):
-            mf = m * features[f] if f else m
+            mf = m * features[f]
             for e, coeff in row:
                 entries[e] = entries[e] + coeff * mf
     return entries
@@ -297,16 +325,22 @@ def _accumulate(entries, terms, features, exact) -> list:
 def build_constraint(name: str, L, mu, gamma) -> GramExpression:
     """Named constraint as a Gram expression, read off its table at
     (t, u) = (L*gamma, L/mu): dividing f and h by L scales Q by 1/L and
-    leaves c as it is. Fraction parameters give Fraction entries, others
-    floats; array parameters give leading batch axes."""
+    leaves c as it is. Fraction parameters give Fraction entries, the
+    integer numerators over 4 (den t)^2 (den u), others floats; array
+    parameters give leading batch axes."""
     if name not in _CONSTRAINTS:
         raise DomainError(f"unknown constraint name {name!r}")
-    exact = _is_exact(L, mu, gamma)
-    if not exact:
+    if not _is_exact(L, mu, gamma):
         L, mu, gamma = (np.asarray(v, dtype=float) if np.shape(v) else float(v) for v in (L, mu, gamma))
-    t, u = L * gamma, L / mu
-    entries = _accumulate([Fraction(0) if exact else 0.0] * _NE, [(name, 1)], _features(t, u), exact)
-    return _expression([v / L for v in entries[:_F2]] + entries[_F2:], t, u, exact)
+        t, u = L * gamma, L / mu
+        entries = _accumulate([0.0] * _NE, [(name, 1)], _features(t, u), False)
+        return _expression([v / L for v in entries[:_F2]] + entries[_F2:], t, u, False)
+    if np.shape(L) or np.shape(mu) or np.shape(gamma):  # integers are exact one point at a time
+        points = np.frompyfunc(lambda *p: build_constraint(name, *p).a, 3, 1)(L, mu, gamma)
+        return GramExpression._of(np.moveaxis(np.array(points.tolist(), dtype=object), -1, 0))
+    features, den = _feature_numerators(Fraction(L) * Fraction(gamma), Fraction(mu) / Fraction(L))
+    entries = [Fraction(n, 4 * den) for n in _accumulate([0] * _NE, [(name, 1)], features, True)]
+    return _expression([v / L for v in entries[:_F2]] + entries[_F2:], L, mu, True)
 
 
 # ---------------------------------------------------------------------------
@@ -347,26 +381,47 @@ class Certificate:
         if self.remainder_coeff is not None:
             if coeff is None:
                 coeff = self.remainder_coeff(t, q)
-            w = [(VECTOR_SYMBOLS.index(name), weight) for name, weight in self.remainder_weights(t, q).items()]
-            for k, (i, wi) in enumerate(w):
-                for j, wj in w[k:]:
-                    entries[_Q_ENTRY[i, j]] = coeff * (wi * wj)
+            for e, wij in _square(self.remainder_weights(t, q)):
+                entries[e] = coeff * wij
         return _expression(entries, t, q, exact)
 
     def weighted_combination(self, t, q, values=None) -> GramExpression:
         """objective - rho*gap - sum(multiplier * constraint), at L = 1,
         accumulated over the constraints' coefficient tables. `values` are
-        the multipliers at (1, q, t), in catalog order, when already known."""
+        the multipliers at (1, q, t), in catalog order, when already known.
+        Float scalars or arrays give float entries; Fraction scalars give
+        `_numerators` over their denominator."""
         if values is None:
             values = [formula(1, q, t) for _cname, _label, formula in self.multipliers]
-        exact = _is_exact(t, q)
-        one = Fraction(1) if exact else 1.0
-        entries = [0 * one] * _NE
-        entries[_F2] = entries[_H2] = one
+        if _is_exact(t, q):
+            nums, den = self._numerators(t, q, [Fraction(v) for v in values], Fraction(self.rate(1, q, t)))
+            return _expression([Fraction(n, den) for n in nums], t, q, True)
+        entries = [0.0] * _NE
+        entries[_F2] = entries[_H2] = 1.0
         entries[_H1] = -self.rate(1, q, t)
         # IEEE negation is exact: adding coeff * (-m * x) is subtracting coeff * (m * x)
         terms = [(cname, -m) for (cname, _label, _formula), m in zip(self.multipliers, values)]
-        return _expression(_accumulate(entries, terms, _features(t, one / q), exact), t, q, exact)
+        return _expression(_accumulate(entries, terms, _features(t, 1.0 / q), False), t, q, False)
+
+    def _numerators(self, t, q, values, rho) -> tuple:
+        """The combination at rationals (t, q), multipliers `values` and
+        rate `rho` as nine integers over one denominator: (numerators,
+        denominator). The multipliers and rho share one denominator, the
+        features another, and the tables hold 4 times each coefficient."""
+        (*m, r), dm = _over_lcm([*values, rho])
+        features, df = _feature_numerators(Fraction(t), Fraction(q))
+        entries = [0] * _NE
+        entries[_F2] = entries[_H2] = 4 * df * dm
+        entries[_H1] = -4 * df * r
+        terms = [(cname, -mi) for (cname, _label, _formula), mi in zip(self.multipliers, m)]
+        return _accumulate(entries, terms, features, True), 4 * df * dm
+
+
+def _square(weights) -> list:
+    """(entry, w_i * w_j) for the entries of Q's upper triangle in
+    ||sum_i w_i * symbol_i||^2, weights given as {symbol name: w_i}."""
+    w = [(VECTOR_SYMBOLS.index(name), weight) for name, weight in weights.items()]
+    return [(_Q_ENTRY[i, j], wi * wj) for (i, wi), (j, wj) in itertools.combinations_with_replacement(w, 2)]
 
 
 def _certificate(multipliers, rho, **fields) -> Certificate:
@@ -577,23 +632,85 @@ class CertificateCheck:
         return not self.failures
 
 
+def check_modulus(L, mu):
+    """Refuse mu > L, where no theorem of the paper applies."""
+    if mu > L:
+        raise DomainError("mu > L rejected: the domination modulus cannot exceed the smoothness constant")
+
+
+def _rational(value) -> Optional[Fraction]:
+    """value as a Fraction, a float converted exactly; None for NaN or infinity."""
+    if type(value) is Fraction:
+        return value
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _decide_exact(cert: Certificate, q: Fraction, t: Fraction) -> tuple:
+    """One point of an exact check, at (1, q, t). The formulas run in
+    Fractions; the identity is integer equality of the combination's
+    numerators with the remainder's, cross-multiplied by their
+    denominators, and each sign is the sign of an integer numerator. A
+    NaN or infinite formula value has no rational value and fails each
+    check that reads it. Returns the multipliers as floats, then each
+    check's reported value and whether it fails: (floats, multiplier
+    fails, residual, identity fails, remainder coefficient, coefficient
+    fails, trace, trace fails)."""
+    raw = [formula(1, q, t) for _cname, _label, formula in cert.multipliers]
+    m = [_rational(v) for v in raw]
+    rho = _rational(cert.rate(1, q, t))
+    coeff, weights = Fraction(0), {}
+    if cert.remainder_coeff is not None:
+        coeff = cert.remainder_coeff(t, q)
+        weights = {name: _rational(w) for name, w in cert.remainder_weights(t, q).items()}
+    c = _rational(coeff)
+    rel, identity_bad, trace, trace_bad = math.nan, True, math.nan, True
+    if c is not None and all(x is not None for x in weights.values()):
+        w, dw = _over_lcm(weights.values())
+        den_r = c.denominator * dw * dw  # the remainder's entries are integers over den_r
+        square = c.numerator * sum(x * x for x in w)
+        trace, trace_bad = square / den_r, square > 0
+        if rho is not None and all(x is not None for x in m):
+            nums, den = cert._numerators(t, q, m, rho)
+            rem = [0] * _NE
+            for e, wij in _square(dict(zip(weights, w))):
+                rem[e] = c.numerator * wij
+            rel, identity_bad = 0.0, any(n * den_r != r * den for n, r in zip(nums, rem))
+            if identity_bad:  # relative to the largest term, as a float once
+                combo = [Fraction(n, den) for n in nums]
+                remainder = [Fraction(r, den_r) for r in rem]
+                diff = max(abs(a - b) for a, b in zip(combo, remainder))
+                rel = float(diff / max(*map(abs, combo + remainder), 1))
+    mult_bad = any(v is None or v.numerator < 0 for v in m)
+    coeff_bad = c is None or c.numerator > 0
+    reported = coeff if c is None else c
+    return [float(v) for v in raw], mult_bad, rel, identity_bad, reported, coeff_bad, trace, trace_bad
+
+
 def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> CertificateCheck:
     """Check one certificate at (L, mu) over a gamma point or grid.
 
-    The parameters are converted once, to Fractions in exact mode (binary
-    floats are exact rationals) and to floats otherwise, and every check
-    is decided per gamma at (1, mu/L, L*gamma) in that arithmetic:
-    multipliers >= -tol, relative identity residual <= tol, remainder
-    coefficient <= tol and remainder eigenvalue <= tol, with tol = 0 in
-    exact mode and the module constants in float mode. Each failure names
-    the first failing gamma. Interval membership is decided on L*gamma in
-    floating point; a closed endpoint computed in floating point can lie
-    just outside the interval, where exact mode sees the certificate fail,
-    and `interval_grid` keeps its points inside. A NaN fails every check.
-    Requires finite L > 0 and mu > 0 with a finite, nonzero float mu/L.
+    Every check is decided per gamma at (1, mu/L, L*gamma): multipliers
+    >= -tol, relative identity residual <= tol, remainder coefficient <=
+    tol and remainder eigenvalue <= tol. Float mode converts the
+    parameters to floats once and checks a grid in arrays, with the module
+    constants as tol. Exact mode converts them to Fractions (binary floats
+    are exact rationals) and checks one point at a time with tol = 0: the
+    formulas run in Fractions, and the identity and the signs are decided
+    on integers over common denominators (`_decide_exact`); a residual is
+    reported as the float of its exact value. Each failure names the first
+    failing gamma. Interval membership is decided on L*gamma in floating
+    point; a closed endpoint computed in floating point can lie just
+    outside the interval, where exact mode sees the certificate fail, and
+    `interval_grid` keeps its points inside. A NaN fails every check that
+    reads it. Requires finite L > 0 and mu > 0 with a finite, nonzero float
+    mu/L, and mu <= L.
     """
     if not (0 < L < math.inf and 0 < mu < math.inf and 0 < float(mu) / float(L) < math.inf):
         raise DomainError(f"L, mu and mu/L must be positive and finite, got L={float(L)!r}, mu={float(mu)!r}")
+    check_modulus(L, mu)
     gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
     inside = cert.gamma_in_interval(L, gamma_arr)
     if not np.all(inside):
@@ -601,20 +718,47 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
         raise DomainError(f"gamma {float(bad[0])!r} outside interval of {cert.case_id}")
 
     if exact:
-        num, dtype, mult_tol, identity_tol, eig_tol = Fraction, object, 0, 0, 0
+        identity_tol = 0
+        Lx = Fraction(float(L))
+        q = Fraction(float(mu)) / Lx
+        points = [_decide_exact(cert, q, Lx * Fraction(g)) for g in gamma_arr.tolist()]
+        floats, mult_bad, rel, rel_bad, coeff, coeff_bad, trace, trace_bad = map(np.array, zip(*points))
+        floats = floats.T
     else:
-        num, dtype, mult_tol, identity_tol, eig_tol = float, float, MULTIPLIER_TOL, IDENTITY_TOL, EIGENVALUE_TOL
-    Lx = num(float(L))
-    q = num(float(mu)) / Lx
-    # float mode: the same IEEE products as one per point
-    t = np.array([Lx * num(g) for g in gamma_arr], dtype=dtype) if exact else Lx * gamma_arr
-    if not np.ndim(gamma):
-        t = num(t[0])
+        identity_tol = IDENTITY_TOL
+        Lx = float(L)
+        q = float(mu) / Lx
+        # the same IEEE products as one per point
+        t = Lx * gamma_arr
+        if not np.ndim(gamma):
+            t = float(t[0])
 
-    def per_gamma(value):
-        if np.shape(value) == gamma_arr.shape:
-            return value
-        return np.broadcast_to(np.asarray(value, dtype=dtype), gamma_arr.shape)
+        def per_gamma(value):
+            if np.shape(value) == gamma_arr.shape:
+                return value
+            return np.broadcast_to(np.asarray(value, dtype=float), gamma_arr.shape)
+
+        raw = [formula(1, q, t) for _cname, _label, formula in cert.multipliers]
+        values = np.stack([per_gamma(m) for m in raw])
+        floats = values.astype(float)
+        raw_coeff = None if cert.remainder_coeff is None else cert.remainder_coeff(t, q)
+        combo = cert.weighted_combination(t, q, raw)
+        remainder = cert.remainder_expression(t, q, raw_coeff)
+        coeff = per_gamma(0.0 if raw_coeff is None else raw_coeff)
+        # a NaN compares false and so fails
+        with np.errstate(invalid="ignore"):
+            mult_bad = ~(values >= -MULTIPLIER_TOL).all(0)
+            rel = 0.0  # relative to the largest term; a zero residual stays zero
+            diff = combo.a - remainder.a
+            if np.any(diff):
+                rel = np.abs(diff).max(0) / np.maximum(np.maximum(combo.max_abs(), remainder.max_abs()), 1)
+            rel = per_gamma(rel)
+            rel_bad = ~(rel <= IDENTITY_TOL)
+        coeff_bad = ~(coeff <= EIGENVALUE_TOL)
+        # the remainder is coeff * w w^T, one explicit square: its eigenvalues
+        # are 0 and trace = coeff * ||w||^2
+        trace = per_gamma(remainder.trace())
+        trace_bad = ~(trace <= EIGENVALUE_TOL)
 
     failures = []
 
@@ -622,38 +766,17 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
         if bad.any():
             failures.append(f"{message} at gamma={float(gamma_arr[bad.argmax()])!r}")
 
-    raw = [formula(1, q, t) for _cname, _label, formula in cert.multipliers]
-    values = np.stack([per_gamma(m) for m in raw])
-    floats = values.astype(float)
-    raw_coeff = None if cert.remainder_coeff is None else cert.remainder_coeff(t, q)
-    combo = cert.weighted_combination(t, q, raw)
-    remainder = cert.remainder_expression(t, q, raw_coeff)
-    coeff = per_gamma(num(0) if raw_coeff is None else raw_coeff)
     mults = {
         label: row if row.size > 1 else float(row[0])
         for (_cname, label, _formula), row in zip(cert.multipliers, floats)
     }
     min_mult = float(floats.min())
-
-    # a NaN compares false and so fails; on an object array the comparison
-    # would also raise the floating-point invalid flag
-    with np.errstate(invalid="ignore"):
-        check(~(values >= -mult_tol).all(0), f"negative multiplier {min_mult:.3e}")
-
-        rel = num(0)  # relative to the largest term; a zero residual stays zero
-        diff = combo.a - remainder.a
-        if np.any(diff):
-            rel = np.abs(diff).max(0) / np.maximum(np.maximum(combo.max_abs(), remainder.max_abs()), 1)
-        rel = per_gamma(rel)
-        rel_residual = float(rel.max())
-        check(~(rel <= identity_tol), f"identity residual {rel_residual:.3e} exceeds {identity_tol:.1e}")
-
-    check(~(coeff <= eig_tol), f"remainder coefficient positive: {float(coeff.max()):.3e}")
-    # the remainder is coeff * w w^T, one explicit square: its eigenvalues
-    # are 0 and trace = coeff * ||w||^2
-    trace = per_gamma(remainder.trace())
+    rel_residual = float(rel.max())
+    check(mult_bad, f"negative multiplier {min_mult:.3e}")
+    check(rel_bad, f"identity residual {rel_residual:.3e} exceeds {identity_tol:.1e}")
+    check(coeff_bad, f"remainder coefficient positive: {float(coeff.max()):.3e}")
     max_eig = float(max(0, trace.max()))
-    check(~(trace <= eig_tol), f"remainder not negative semidefinite: max eig {float(trace.max()):.3e}")
+    check(trace_bad, f"remainder not negative semidefinite: max eig {float(trace.max()):.3e}")
 
     return CertificateCheck(
         case_id=cert.case_id,
@@ -662,7 +785,7 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
         multipliers=mults,
         min_multiplier=min_mult,
         identity_residual=rel_residual,
-        remainder_coefficient=num(coeff[0]) if coeff.size == 1 else np.array(coeff),
+        remainder_coefficient=coeff.item(0) if coeff.size == 1 else np.array(coeff),
         remainder_max_eigenvalue=max_eig,
         failures=failures,
     )

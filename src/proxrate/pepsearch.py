@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .certificate import CONSTRAINT_NAMES, build_constraint
+from .certificate import CONSTRAINT_NAMES, build_constraint, check_modulus
 from .errors import DomainError, VerificationError
 from .rates import CASES, rate_formula
 
@@ -53,9 +53,10 @@ class SearchParams:
     def __post_init__(self):
         if (self.fn_class, self.ineq) not in CONSTRAINT_SETS:
             raise DomainError(f"unknown class/inequality pair ({self.fn_class!r}, {self.ineq!r})")
-        # mu > L stays allowed; a subnormal L leaves no finite bound on gamma
+        # a subnormal L leaves no finite bound on gamma
         if not (0 < self.L and 0 < 2.0 / self.L < math.inf and 0 < self.mu < math.inf):
             raise DomainError(f"L, 2/L and mu must be positive and finite, got L={self.L!r}, mu={self.mu!r}")
+        check_modulus(self.L, self.mu)
         if not 0 < self.gamma < 2.0 / self.L:
             raise DomainError(f"gamma out of (0, 2/L): gamma={self.gamma!r}, L={self.L!r}")
 

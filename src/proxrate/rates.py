@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .certificate import certificate_catalog
+from .certificate import certificate_catalog, check_modulus
 from .errors import DomainError
 
 CONVEX = "convex"
@@ -40,8 +40,7 @@ class RateQuery:
     def validate(self):
         _cases(self.fn_class, self.ineq)
         _check_domain(self.L, self.mu, self.gamma)
-        if self.mu > self.L:
-            raise DomainError("mu > L rejected: the domination modulus cannot exceed the smoothness constant")
+        check_modulus(self.L, self.mu)
 
 
 @dataclass(frozen=True)

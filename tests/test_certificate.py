@@ -219,18 +219,29 @@ class TestVerification:
                 assert chk.min_multiplier >= -1e-14
                 assert chk.remainder_max_eigenvalue <= 1e-10
 
-    def test_grid_reports_equal_pointwise_reports(self):
-        # the reductions over a grid run over the entry axis only: each
-        # point's values are those of a one-point call, bit for bit
+    @staticmethod
+    def assert_grid_reports_equal_pointwise_reports(exact):
         for cert in cm.certificate_catalog():
             grid = cm.interval_grid(cert, 1.3, 9)
-            chk = cm.verify_certificate(cert, 1.3, 0.2, grid)
-            points = [cm.verify_certificate(cert, 1.3, 0.2, float(g)) for g in grid]
+            chk = cm.verify_certificate(cert, 1.3, 0.2, grid, exact=exact)
+            points = [cm.verify_certificate(cert, 1.3, 0.2, float(g), exact=exact) for g in grid]
             for i, point in enumerate(points):
                 assert {k: v[i] for k, v in chk.multipliers.items()} == point.multipliers, (cert.case_id, i)
                 assert chk.remainder_coefficient[i] == point.remainder_coefficient, (cert.case_id, i)
+                assert type(point.remainder_coefficient) is (Fraction if exact else float), (cert.case_id, i)
+            assert chk.min_multiplier == min(point.min_multiplier for point in points), cert.case_id
             assert chk.identity_residual == max(point.identity_residual for point in points), cert.case_id
             assert chk.remainder_max_eigenvalue == max(point.remainder_max_eigenvalue for point in points)
+            assert chk.failures == [] and all(point.ok for point in points), cert.case_id
+
+    def test_grid_reports_equal_pointwise_reports(self):
+        # the reductions over a grid run over the entry axis only: each
+        # point's values are those of a one-point call, bit for bit
+        self.assert_grid_reports_equal_pointwise_reports(exact=False)
+
+    def test_exact_grid_reports_equal_pointwise_reports(self):
+        # exact mode decides a grid one point at a time
+        self.assert_grid_reports_equal_pointwise_reports(exact=True)
 
     def test_equality_case_combination_is_identically_zero(self, rng):
         cert = cm.certificate_for("Thm4.2-case2")
@@ -269,6 +280,8 @@ class TestVerification:
         chk = cm.verify_certificate(cert, 1.0, 0.1, g, exact=True)
         assert chk.remainder_coefficient > 0
         assert any("remainder coefficient positive" in f for f in chk.failures)
+        assert chk.remainder_max_eigenvalue > 0
+        assert any("remainder not negative semidefinite" in f for f in chk.failures)
 
     def test_exact_mode_decides_multiplier_signs_exactly(self):
         # fl(1.5/1.1) lies just above 1.5/L, where E1's multiplier
@@ -340,6 +353,50 @@ class TestVerification:
         chk = cm.verify_certificate(bad, 1.0, 0.1, 0.9, exact=exact)
         assert not chk.ok
         assert any("negative multiplier" in f for f in chk.failures)
+        assert any(f.startswith("identity residual nan") for f in chk.failures)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_multiplier_fails(self, exact, value):
+        # no identity holds with an infinite multiplier, and exact mode
+        # refuses one as a multiplier: it is not a nonnegative rational
+        cert = cm.certificate_for("Thm3.2-case1")
+        bad = dataclasses.replace(
+            cert,
+            multipliers=tuple(
+                (cname, label, (lambda L, m, g: value) if label == "alpha2" else fn)
+                for (cname, label, fn) in cert.multipliers
+            ),
+        )
+        chk = cm.verify_certificate(bad, 1.0, 0.1, 0.9, exact=exact)
+        assert chk.multipliers["alpha2"] == value
+        assert any(f.startswith("identity residual nan") for f in chk.failures)
+        assert any("negative multiplier" in f for f in chk.failures) == (exact or value < 0)
+
+    def test_exact_mode_reads_a_float_multiplier_exactly(self):
+        # a Fraction formula times a float is a float; exact mode checks the
+        # rational it stands for, and reports that rational's residual
+        cert = cm.certificate_for("Thm3.2-case1")
+        (cname, label, formula), *rest = cert.multipliers
+        bad = dataclasses.replace(cert, multipliers=((cname, label, lambda L, m, g: formula(L, m, g) * 1.001), *rest))
+        chk = cm.verify_certificate(bad, 1.0, 0.1, 0.9, exact=True)
+        q, t = Fraction(0.1), Fraction(0.9)
+        values = [fn(1, q, t) for _cname, _label, fn in bad.multipliers]
+        assert type(values[0]) is float
+        combo = reference_combination(cert, t, q, [Fraction(v) for v in values], cert.rate(1, q, t))
+        remainder = cert.remainder_expression(t, q)
+        terms = np.concatenate([combo.a, remainder.a])
+        want = float(np.abs(combo.a - remainder.a).max() / max(np.abs(terms).max(), 1))
+        assert 0 < chk.identity_residual == want
+        assert chk.failures == [f"identity residual {want:.3e} exceeds 0.0e+00 at gamma=0.9"]
+
+    def test_mu_above_L_rejected(self):
+        # as `rate` refuses it: no theorem of the paper covers mu > L
+        cert = cm.certificate_for("Thm3.2-case1")
+        for exact in (False, True):
+            with pytest.raises(DomainError, match="mu > L rejected"):
+                cm.verify_certificate(cert, 1.0, 2.0, 0.9, exact=exact)
+            assert cm.verify_certificate(cert, 1.0, 1.0, 0.9, exact=exact).ok
 
     @pytest.mark.parametrize("L, mu", [(1.0, math.inf), (math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan)])
     def test_non_finite_parameters_rejected(self, L, mu):
@@ -447,8 +504,9 @@ class TestCoefficientTables:
             entries = [Fraction(0)] * 9
             features = cm._features(t, 1 / q)
             for f, row in cm._table(name, True):
-                for e, coeff in row:
-                    entries[e] += coeff * features[f]
+                for e, coeff in row:  # integers, 4 times each coefficient
+                    assert type(coeff) is int, name
+                    entries[e] += Fraction(coeff, 4) * features[f]
             want = cm._definition(name, q, t)
             assert entries == want.Q[np.triu_indices(3)].tolist() + want.c.tolist(), name
             # at L, Q scales by 1/L and c does not
@@ -490,6 +548,12 @@ class TestCoefficientTables:
         with pytest.raises(VerificationError, match="degree"):
             cm._table.__wrapped__("C12", True)  # uncached, so no table is replaced
 
+    def test_guard_rejects_a_coefficient_off_the_quarter_grid(self, monkeypatch):
+        original = cm._definition
+        monkeypatch.setattr(cm, "_definition", lambda name, q, t: original(name, q, t) / 3)
+        with pytest.raises(VerificationError, match="multiple of 1/4"):
+            cm._table.__wrapped__("C12", True)
+
     def test_tables_are_built_on_first_use(self):
         code = (
             "from proxrate import certificate as cm; n = cm._table.cache_info().currsize; "
@@ -499,6 +563,42 @@ class TestCoefficientTables:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         # none at import; Thm4.1's three float tables and the exact ones they come from
         assert out.stdout.split() == ["0", "6"]
+
+
+class TestExactVanishing:
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(
+        case=st.sampled_from([c.case_id for c in cm.certificate_catalog()]),
+        u=st.floats(0.0, 1.0),
+        q=st.floats(0.0, 1.0, exclude_min=True),
+        k=st.integers(1, 10**6),
+        which=st.integers(0, 4),
+    )
+    def test_identities_vanish_on_integers(self, case, u, q, k, which):
+        # a float t inside the interval and a float q in (0, 1] are dyadic
+        # rationals, so exact mode decides the identity there
+        cert = cm.certificate_for(case)
+        a, b = cm.interval_grid(cert, 1.0, 2)
+        t = float(min(a + (b - a) * u, b))
+        chk = cm.verify_certificate(cert, 1.0, q, t, exact=True)
+        assert chk.ok and chk.identity_residual == 0.0, chk.failures
+
+        # the integer numerators over one denominator are the Gram algebra's entries
+        tx, qx = Fraction(t), Fraction(q)
+        values = [formula(1, qx, tx) for _cname, _label, formula in cert.multipliers]
+        rho = cert.rate(1, qx, tx)
+        nums, den = cert._numerators(tx, qx, values, rho)
+        assert all(type(n) is int for n in nums) and den > 0
+        assert [Fraction(n, den) for n in nums] == reference_combination(cert, tx, qx, values, rho).a.tolist()
+
+        # one multiplier off by the factor 1 + 1/k breaks the identity, and only it
+        i = which % len(cert.multipliers)
+        cname, label, formula = cert.multipliers[i]
+        scaled = (cname, label, lambda L, m, g: formula(L, m, g) * Fraction(k + 1, k))
+        bad = dataclasses.replace(cert, multipliers=cert.multipliers[:i] + (scaled,) + cert.multipliers[i + 1 :])
+        chk = cm.verify_certificate(bad, 1.0, q, t, exact=True)
+        assert len(chk.failures) == 1 and chk.failures[0].startswith("identity residual"), chk.failures
+        assert chk.identity_residual > 0
 
 
 class TestConsequenceOnTraces:

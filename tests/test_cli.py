@@ -326,6 +326,8 @@ class TestDeterminismAndFuzz:
             ["optimal-step", "--fn-class", "nonconvex", "--ineq", "rpl", "--L", "1", "--mu", "3"],
             ["rate", "--fn-class", "convex", "--ineq", "pl", "--L", "1", "--mu", "0.1", "--gamma", "1", "--output", "OUT"],
             [*PEP_SEARCH, "--L", "1", "--mu", "0.1", "--gamma", "1", "--gamma-min", "0.5"],
+            ["certify", "--case", "all", "--L", "1", "--mu", "2", "--grid", "5", "--exact"],
+            [*PEP_SEARCH, "--L", "1", "--mu", "2", "--gamma", "0.5"],
         ],
     )
     def test_out_of_domain_input_is_a_domain_error(self, argv, tmp_path, capsys):
