@@ -10,7 +10,7 @@ optimal-point gradients are eliminated by g* + s* = 0. Each constraint
 is defined once, as one of the interp definitions evaluated on these
 symbols: a scalar symbol is a GramExpression, the one expression type,
 and the inner product of two vector symbols is one too, so a definition
-computes its Q and c directly, in Fraction arithmetic at L = 1.
+computes its Q and c directly, in exact arithmetic at L = 1.
 A certificate stores the closed-form multipliers and the expected
 remainder; verification checks, per gamma,
 
@@ -19,30 +19,23 @@ remainder; verification checks, per gamma,
 multiplier nonnegativity, and nonpositivity of the remainder form.
 Dividing f and h by L scales every constraint and both gaps by 1/L, so
 the formulas are rational in (t, q) = (L*gamma, mu/L) and verification
-runs at L = 1. An exact mode evaluates the formulas in Fraction
-arithmetic and decides the identity and every sign on integers: the
-multipliers and the rate over one common denominator, the features
-t^i u^j over (den t)^2 (den u), so an entry of the combination is an
-integer over one denominator as well, and the identity is integer
-equality with the remainder's numerators.
+runs at L = 1. So the identity is one of rational functions, proved once
+per certificate: its combination and remainder are evaluated on the
+symbols t and q, and each entry of their difference must have a zero
+numerator. This assumes a formula computes the same rational function on
+symbols as on Fractions: one that branches on its argument's type is
+proved on the branch symbols take. Exact mode decides every sign on the
+formulas' Fraction values at each point, and the identity by the proof.
 
 Everything else reads per-constraint coefficient tables, not the Gram
 algebra. At L = 1 every operand is affine in t (x2 = -t*(g1 + s2)), each
 definition is at most bilinear in its operands, and mu enters only as
 1/(2*mu) on a t-free square, so every entry of a constraint's Q and c is
-a polynomial of degree <= 2 in t and <= 1 in u = 1/q. `_table` derives
-those coefficients from the exact L = 1 definition at six points and
-guards the degree bound at a seventh, lazily and once per process; every
-coefficient is a multiple of 1/4, so the exact table holds integers, 4
-times each coefficient. A constraint at any (L, mu, gamma) and a
-combination are accumulated from nonzero coefficients only, in one loop
-over float arrays or over integer numerators.
-
-An expression is stored as one array of its nine free entries, Q's upper
-triangle row by row and then c, entries first, with a parameter grid's
-batch axes after them. A symmetric Q has six free entries, so no mirrored
-entry is accumulated twice, and every reduction over an expression
-(largest entry, residual, trace) runs over axis 0.
+a polynomial of degree <= 2 in t and <= 1 in u = 1/q. `_table` reads
+those coefficients off the definition evaluated once on the symbols t
+and u, lazily and once per process, and refuses any other monomial. A
+constraint at any (L, mu, gamma) and a combination are accumulated from
+nonzero coefficients only, in one loop over float arrays or Fractions.
 """
 from __future__ import annotations
 
@@ -72,7 +65,7 @@ GRID_MARGIN = 1e-6  # interval_grid's relative offset from an open endpoint
 
 
 def _is_exact(*values) -> bool:
-    return any(isinstance(v, Fraction) for v in values)
+    return any(isinstance(v, (Fraction, _RationalFunction)) for v in values)
 
 
 # an expression's entries, first axis: Q's upper triangle row by row
@@ -239,6 +232,105 @@ def _definition(name: str, q: Fraction, t: Fraction) -> GramExpression:
 
 
 # ---------------------------------------------------------------------------
+# exact rational functions of two symbols
+
+
+_ONE = {(0, 0): 1}  # a polynomial: {(i, j): coefficient of x^i y^j}, no zeros
+
+
+def _poly(terms) -> dict:
+    """The polynomial summing these ((i, j), coefficient) terms."""
+    out = {}
+    for m, c in terms:
+        out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if c}
+
+
+def _mul(a: dict, b: dict) -> dict:
+    return _poly(((i + k, j + l), x * y) for (i, j), x in a.items() for (k, l), y in b.items())
+
+
+def _quotient(a: dict, b: dict) -> Optional[dict]:
+    """a / b if b, monic in its largest monomial, divides a; else None."""
+    if a == b:
+        return _ONE
+    quotient, (bi, bj) = {}, max(b)
+    while a:
+        (i, j), c = max(a.items())
+        if i < bi or j < bj:
+            return None
+        quotient[i - bi, j - bj] = c
+        a = _poly([*a.items(), *_mul(b, {(i - bi, j - bj): -c}).items()])
+    return quotient
+
+
+def _lift(x) -> Optional[_RationalFunction]:
+    """x as a rational function, a float read exactly; None for a non-number."""
+    if isinstance(x, (int, float, Fraction)):
+        x = Fraction(x) if isinstance(x, float) else x  # NaN and infinity raise
+        return _RationalFunction({(0, 0): x} if x else {})
+    return x if isinstance(x, _RationalFunction) else None
+
+
+def _binary(op):
+    def method(self, other):
+        other = _lift(other)
+        return NotImplemented if other is None else op(self, other)
+    return method
+
+
+class _RationalFunction:
+    """An exact rational function num/den of two symbols: polynomials with
+    int or Fraction coefficients, den monic in its largest monomial, under
+    + - * / with ints, Fractions and floats (`_lift`; NaN and infinity
+    raise) and nonnegative integer powers. A sum keeps a denominator that
+    the other divides, nothing else cancels, and zero is an empty num."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: dict, den: dict = _ONE):
+        lead = den[max(den)]
+        if lead != 1:
+            num, den = ({m: c / Fraction(lead) for m, c in p.items()} for p in (num, den))
+        self.num, self.den = num, den
+
+    @_binary
+    def __add__(self, other):
+        x, y = (self.num, self.den), (other.num, other.den)
+        for (a, b), (c, d) in ((x, y), (y, x)):
+            k = _quotient(b, d)  # a/b + c/d = (a + c*k)/b when b = k*d
+            if k is not None:
+                return _RationalFunction(_poly([*a.items(), *_mul(c, k).items()]), b)
+        return _RationalFunction(_poly([*_mul(a, d).items(), *_mul(c, b).items()]), _mul(b, d))
+
+    @_binary
+    def __mul__(self, other):
+        return _RationalFunction(_mul(self.num, other.num), _mul(self.den, other.den))
+
+    @_binary
+    def __truediv__(self, other):
+        if not other.num:
+            raise ZeroDivisionError("division by the zero function")
+        return _RationalFunction(_mul(self.num, other.den), _mul(self.den, other.num))
+
+    __radd__, __rmul__ = __add__, __mul__
+    __sub__ = _binary(lambda self, other: self + -other)
+    __rsub__ = _binary(lambda self, other: other + -self)
+    __rtruediv__ = _binary(lambda self, other: other / self)
+
+    def __neg__(self):
+        return self * -1
+
+    def __pow__(self, n):
+        if type(n) is not int or n < 0:
+            return NotImplemented
+        return self ** (n - 1) * self if n else _RationalFunction(_ONE)
+
+
+_T, _Q = _RationalFunction({(1, 0): 1}), _RationalFunction({(0, 1): 1})  # t; q, or u = 1/q in a table
+
+
+# ---------------------------------------------------------------------------
 # coefficient tables
 
 def _expression(entries, t, q, exact) -> GramExpression:
@@ -256,64 +348,30 @@ def _features(t, u):
     return (1, t, t2, u, t * u, t2 * u)
 
 
-def _feature_numerators(t, q):
-    """`_features` at rationals t and u = 1/q as integers over one
-    denominator, (den t)^2 * (num q): (numerators, denominator)."""
-    a, b, c, d = t.numerator, t.denominator, q.denominator, q.numerator
-    return (b * b * d, a * b * d, a * a * d, b * b * c, a * b * c, a * a * c), b * b * d
-
-
-def _over_lcm(values):
-    """Rationals as integers over their least common denominator:
-    (numerators, denominator)."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 @functools.cache
 def _table(name: str, exact: bool) -> tuple:
     """Constraint `name` at L = 1 as (feature, ((entry, coefficient), ...))
     rows, indexing `_features` and the _NE entries, nonzero coefficients
-    only; in exact mode integers, 4 times each coefficient, and floats,
-    the coefficients themselves, otherwise.
-
-    The coefficients come from finite differences of the exact L = 1
-    definition (`_definition`) on the grid t in {0, 1, 2} x u in {1, 2},
-    which determines any polynomial of degree <= 2 in t and <= 1 in u.
-    One more exact point, (t, u) = (3, 3), guards that bound: a
-    constraint outside the span raises VerificationError instead of
-    passing with a wrong table, and so does a coefficient that is not a
-    multiple of 1/4. Batch axes come from the table reads, never from the
-    definition.
-    """
-    if not exact:  # multiples of 1/4, so the floats are exact
-        return tuple((f, tuple((e, c / 4) for e, c in row)) for f, row in _table(name, True))
-
-    def entries(t, u):
-        return _definition(name, Fraction(1, u), Fraction(t)).a
-
-    v = {(t, u): entries(t, u) for t in (0, 1, 2) for u in (1, 2)}
-    coeffs = []
-    for p0, p1, p2 in ([2 * v[t, 1] - v[t, 2] for t in (0, 1, 2)], [v[t, 2] - v[t, 1] for t in (0, 1, 2)]):
-        c2 = (p2 - 2 * p1 + p0) / 2  # the u^0 part, then the u^1 part
-        coeffs += [p0, p1 - p0 - c2, c2]
-    if np.any(entries(3, 3) != sum(c * x for c, x in zip(coeffs, _features(3, 3)))):
-        raise VerificationError(f"constraint {name} is not of degree <= 2 in t and <= 1 in 1/q")
-    quarters = [4 * column for column in coeffs]
-    if any(c.denominator != 1 for column in quarters for c in column):
-        raise VerificationError(f"constraint {name} has a coefficient that is not a multiple of 1/4")
-    return tuple(
-        (f, tuple((e, int(c)) for e, c in enumerate(column) if c))
-        for f, column in enumerate(quarters)
-        if any(column)
-    )
+    only: Fractions in exact mode, and their floats otherwise. They are
+    read off the definition (`_definition`) evaluated on the symbols t and
+    u = 1/q, and a term outside `_features` raises VerificationError."""
+    if not exact:
+        return tuple((f, tuple((e, float(c)) for e, c in row)) for f, row in _table(name, True))
+    feature = {m: f for f, x in enumerate(_features(_T, _Q)) for m in _lift(x).num}
+    rows = [[] for _ in feature]
+    for e, x in enumerate(_definition(name, 1 / _Q, _T).a):
+        x = _lift(x)
+        if x.den != _ONE or not x.num.keys() <= feature.keys():
+            raise VerificationError(f"constraint {name} is not of degree <= 2 in t and <= 1 in 1/q")
+        for m, c in x.num.items():
+            rows[feature[m]].append((e, Fraction(c)))
+    return tuple((f, tuple(row)) for f, row in enumerate(rows) if row)
 
 
 def _accumulate(entries, terms, features, exact) -> list:
     """entries + sum(m * table) over the (constraint name, m) terms, the
     tables read at `features`; updates and returns the list. Floats read
-    the float tables, and integers (m and the feature numerators) the
-    exact ones, 4 times the coefficients."""
+    the float tables, and Fractions and symbols the exact ones."""
     for name, m in terms:
         for f, row in _table(name, exact):
             mf = m * features[f]
@@ -325,22 +383,19 @@ def _accumulate(entries, terms, features, exact) -> list:
 def build_constraint(name: str, L, mu, gamma) -> GramExpression:
     """Named constraint as a Gram expression, read off its table at
     (t, u) = (L*gamma, L/mu): dividing f and h by L scales Q by 1/L and
-    leaves c as it is. Fraction parameters give Fraction entries, the
-    integer numerators over 4 (den t)^2 (den u), others floats; array
+    leaves c as it is. Fraction parameters give Fraction entries, with
+    every parameter read as a Fraction, and others floats; array
     parameters give leading batch axes."""
     if name not in _CONSTRAINTS:
         raise DomainError(f"unknown constraint name {name!r}")
-    if not _is_exact(L, mu, gamma):
+    exact = _is_exact(L, mu, gamma)
+    if exact:
+        L, mu, gamma = map(np.frompyfunc(Fraction, 1, 1), (L, mu, gamma))
+    else:
         L, mu, gamma = (np.asarray(v, dtype=float) if np.shape(v) else float(v) for v in (L, mu, gamma))
-        t, u = L * gamma, L / mu
-        entries = _accumulate([0.0] * _NE, [(name, 1)], _features(t, u), False)
-        return _expression([v / L for v in entries[:_F2]] + entries[_F2:], t, u, False)
-    if np.shape(L) or np.shape(mu) or np.shape(gamma):  # integers are exact one point at a time
-        points = np.frompyfunc(lambda *p: build_constraint(name, *p).a, 3, 1)(L, mu, gamma)
-        return GramExpression._of(np.moveaxis(np.array(points.tolist(), dtype=object), -1, 0))
-    features, den = _feature_numerators(Fraction(L) * Fraction(gamma), Fraction(mu) / Fraction(L))
-    entries = [Fraction(n, 4 * den) for n in _accumulate([0] * _NE, [(name, 1)], features, True)]
-    return _expression([v / L for v in entries[:_F2]] + entries[_F2:], L, mu, True)
+    t, u = L * gamma, L / mu
+    entries = _accumulate([Fraction(0) if exact else 0.0] * _NE, [(name, 1)], _features(t, u), exact)
+    return _expression([v / L for v in entries[:_F2]] + entries[_F2:], t, u, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -372,49 +427,35 @@ class Certificate:
         below = t <= hi * (1 + tol) if hi_closed else t < hi * (1 - tol)
         return above & below
 
-    def remainder_expression(self, t, q, coeff=None) -> GramExpression:
+    def remainder_expression(self, t, q, coeff=None, weights=None) -> GramExpression:
         """coeff * ||w||^2 with w = sum of weight * vector symbol, written
-        entry by entry as coeff * w_i * w_j. `coeff` is remainder_coeff(t, q),
-        when already known."""
+        entry by entry as coeff * w_i * w_j. `coeff` and `weights` are
+        remainder_coeff(t, q) and remainder_weights(t, q), when known."""
         exact = _is_exact(t, q)
         entries = [Fraction(0) if exact else 0.0] * _NE
         if self.remainder_coeff is not None:
-            if coeff is None:
-                coeff = self.remainder_coeff(t, q)
-            for e, wij in _square(self.remainder_weights(t, q)):
+            coeff = self.remainder_coeff(t, q) if coeff is None else coeff
+            weights = self.remainder_weights(t, q) if weights is None else weights
+            for e, wij in _square(weights):
                 entries[e] = coeff * wij
         return _expression(entries, t, q, exact)
 
-    def weighted_combination(self, t, q, values=None) -> GramExpression:
+    def weighted_combination(self, t, q, values=None, rho=None) -> GramExpression:
         """objective - rho*gap - sum(multiplier * constraint), at L = 1,
-        accumulated over the constraints' coefficient tables. `values` are
-        the multipliers at (1, q, t), in catalog order, when already known.
-        Float scalars or arrays give float entries; Fraction scalars give
-        `_numerators` over their denominator."""
+        accumulated over the constraints' coefficient tables. `values` (the
+        multipliers at (1, q, t), in catalog order) and `rho` (the rate)
+        are the formulas' values, when already known. Float scalars or
+        arrays give float entries; Fractions and symbols exact ones."""
+        exact = _is_exact(t, q)
         if values is None:
             values = [formula(1, q, t) for _cname, _label, formula in self.multipliers]
-        if _is_exact(t, q):
-            nums, den = self._numerators(t, q, [Fraction(v) for v in values], Fraction(self.rate(1, q, t)))
-            return _expression([Fraction(n, den) for n in nums], t, q, True)
-        entries = [0.0] * _NE
-        entries[_F2] = entries[_H2] = 1.0
-        entries[_H1] = -self.rate(1, q, t)
+        rho = self.rate(1, q, t) if rho is None else rho
+        entries = [Fraction(0) if exact else 0.0] * _NE
+        entries[_F2] = entries[_H2] = entries[_F2] + 1
+        entries[_H1] = -rho
         # IEEE negation is exact: adding coeff * (-m * x) is subtracting coeff * (m * x)
         terms = [(cname, -m) for (cname, _label, _formula), m in zip(self.multipliers, values)]
-        return _expression(_accumulate(entries, terms, _features(t, 1.0 / q), False), t, q, False)
-
-    def _numerators(self, t, q, values, rho) -> tuple:
-        """The combination at rationals (t, q), multipliers `values` and
-        rate `rho` as nine integers over one denominator: (numerators,
-        denominator). The multipliers and rho share one denominator, the
-        features another, and the tables hold 4 times each coefficient."""
-        (*m, r), dm = _over_lcm([*values, rho])
-        features, df = _feature_numerators(Fraction(t), Fraction(q))
-        entries = [0] * _NE
-        entries[_F2] = entries[_H2] = 4 * df * dm
-        entries[_H1] = -4 * df * r
-        terms = [(cname, -mi) for (cname, _label, _formula), mi in zip(self.multipliers, m)]
-        return _accumulate(entries, terms, features, True), 4 * df * dm
+        return _expression(_accumulate(entries, terms, _features(t, 1 / q), exact), t, q, exact)
 
 
 def _square(weights) -> list:
@@ -474,9 +515,7 @@ def _large_step(case_id, fn_class, ineq, names, remainder_coeff, lo, check_kind)
 
 def certificate_catalog() -> list[Certificate]:
     """All eight theorem-case certificates, in theorem order."""
-    cat = []
-
-    cat.append(
+    return [
         _certificate(
             case_id="Thm3.1-case1",
             fn_class="nonconvex",
@@ -492,18 +531,12 @@ def certificate_catalog() -> list[Certificate]:
             remainder_weights=lambda t, q: {"g1": t + 1, "s2": t, "g2": -1},
             interval=(0.0, _SQRT3, False, True),
             check_kind="equality",
-        )
-    )
-
-    cat.append(
+        ),
         _large_step(
             "Thm3.1-case2", "nonconvex", "pl", ("A12", "A21", "C12", "D2"),
             lambda t, q: (3 - t**2) / (4 * _den_large(t, q)),
             _SQRT3, "equality",
-        )
-    )
-
-    cat.append(
+        ),
         _certificate(
             case_id="Thm3.2-case1",
             fn_class="convex",
@@ -519,18 +552,12 @@ def certificate_catalog() -> list[Certificate]:
             remainder_weights=lambda t, q: {"g1": 1, "g2": -1},
             interval=(0.0, 1.5, False, True),
             check_kind="equality",
-        )
-    )
-
-    cat.append(
+        ),
         _large_step(
             "Thm3.2-case2", "convex", "pl", ("B12", "B21", "C12", "D2"),
             lambda t, q: (3 - 2 * t) / (2 * _den_large(t, q)),
             1.5, "equality",
-        )
-    )
-
-    cat.append(
+        ),
         _certificate(
             case_id="Thm4.1",
             fn_class="nonconvex",
@@ -546,10 +573,7 @@ def certificate_catalog() -> list[Certificate]:
             remainder_weights=_large_step_weights,
             interval=(0.0, 2.0, False, False),
             check_kind="equality",
-        )
-    )
-
-    cat.append(
+        ),
         _certificate(
             case_id="Thm4.2-case1",
             fn_class="convex",
@@ -565,10 +589,7 @@ def certificate_catalog() -> list[Certificate]:
             remainder_weights=lambda t, q: {"g1": 1, "g2": -1},
             interval=(0.0, 1.0, False, True),
             check_kind="inequality-chain",
-        )
-    )
-
-    cat.append(
+        ),
         _certificate(
             case_id="Thm4.2-case2",
             fn_class="convex",
@@ -585,18 +606,13 @@ def certificate_catalog() -> list[Certificate]:
             remainder_weights=None,
             interval=(1.0, 1.5, False, True),
             check_kind="inequality-chain",
-        )
-    )
-
-    cat.append(
+        ),
         _large_step(
             "Thm4.2-case3", "convex", "rpl", ("B12", "B21", "C12", "E2"),
             lambda t, q: (3 - 2 * t) / (2 * _den_large(t, q)),
             1.5, "inequality-chain",
-        )
-    )
-
-    return cat
+        ),
+    ]
 
 
 _CATALOG = {c.case_id: c for c in certificate_catalog()}
@@ -648,16 +664,27 @@ def _rational(value) -> Optional[Fraction]:
         return None
 
 
+@functools.cache
+def _proved(cert: Certificate) -> bool:
+    """Whether the certificate's identity holds for every (t, q): its own
+    combination minus its remainder, evaluated once on the symbols t and
+    q, has a zero numerator in each of the nine entries. A formula that
+    cannot run on symbols (math.sqrt, a comparison) is not proved."""
+    try:
+        diff = cert.weighted_combination(_T, _Q).a - cert.remainder_expression(_T, _Q).a
+    except (TypeError, ValueError, ArithmeticError):
+        return False
+    return not any(_lift(x).num for x in diff)
+
+
 def _decide_exact(cert: Certificate, q: Fraction, t: Fraction) -> tuple:
-    """One point of an exact check, at (1, q, t). The formulas run in
-    Fractions; the identity is integer equality of the combination's
-    numerators with the remainder's, cross-multiplied by their
-    denominators, and each sign is the sign of an integer numerator. A
-    NaN or infinite formula value has no rational value and fails each
-    check that reads it. Returns the multipliers as floats, then each
-    check's reported value and whether it fails: (floats, multiplier
-    fails, residual, identity fails, remainder coefficient, coefficient
-    fails, trace, trace fails)."""
+    """One point of an exact check, at (1, q, t): each sign is decided on
+    the formulas' Fraction values, and the identity holds iff the
+    certificate is proved (`_proved`) and those values are rational; a NaN
+    or infinite value fails each check that reads it. Returns the
+    multipliers as floats, then each check's reported value and whether
+    it fails: (floats, multiplier fails, residual, identity fails,
+    remainder coefficient, coefficient fails, trace, trace fails)."""
     raw = [formula(1, q, t) for _cname, _label, formula in cert.multipliers]
     m = [_rational(v) for v in raw]
     rho = _rational(cert.rate(1, q, t))
@@ -667,26 +694,18 @@ def _decide_exact(cert: Certificate, q: Fraction, t: Fraction) -> tuple:
         weights = {name: _rational(w) for name, w in cert.remainder_weights(t, q).items()}
     c = _rational(coeff)
     rel, identity_bad, trace, trace_bad = math.nan, True, math.nan, True
-    if c is not None and all(x is not None for x in weights.values()):
-        w, dw = _over_lcm(weights.values())
-        den_r = c.denominator * dw * dw  # the remainder's entries are integers over den_r
-        square = c.numerator * sum(x * x for x in w)
-        trace, trace_bad = square / den_r, square > 0
-        if rho is not None and all(x is not None for x in m):
-            nums, den = cert._numerators(t, q, m, rho)
-            rem = [0] * _NE
-            for e, wij in _square(dict(zip(weights, w))):
-                rem[e] = c.numerator * wij
-            rel, identity_bad = 0.0, any(n * den_r != r * den for n, r in zip(nums, rem))
+    if c is not None and None not in weights.values():
+        trace = c * sum(w * w for w in weights.values())  # coeff * ||w||^2
+        trace, trace_bad = float(trace), trace > 0
+        if rho is not None and None not in m:
+            rel, identity_bad = 0.0, not _proved(cert)
             if identity_bad:  # relative to the largest term, as a float once
-                combo = [Fraction(n, den) for n in nums]
-                remainder = [Fraction(r, den_r) for r in rem]
-                diff = max(abs(a - b) for a, b in zip(combo, remainder))
-                rel = float(diff / max(*map(abs, combo + remainder), 1))
-    mult_bad = any(v is None or v.numerator < 0 for v in m)
-    coeff_bad = c is None or c.numerator > 0
-    reported = coeff if c is None else c
-    return [float(v) for v in raw], mult_bad, rel, identity_bad, reported, coeff_bad, trace, trace_bad
+                combo = cert.weighted_combination(t, q, m, rho).a
+                rem = cert.remainder_expression(t, q, c, weights).a
+                rel = float(np.abs(combo - rem).max() / max(np.abs(np.concatenate([combo, rem])).max(), 1))
+    mult_bad = any(v is None or v < 0 for v in m)
+    coeff_bad = c is None or c > 0
+    return [float(v) for v in raw], mult_bad, rel, identity_bad, coeff if c is None else c, coeff_bad, trace, trace_bad
 
 
 def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> CertificateCheck:
@@ -698,15 +717,15 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
     parameters to floats once and checks a grid in arrays, with the module
     constants as tol. Exact mode converts them to Fractions (binary floats
     are exact rationals) and checks one point at a time with tol = 0: the
-    formulas run in Fractions, and the identity and the signs are decided
-    on integers over common denominators (`_decide_exact`); a residual is
-    reported as the float of its exact value. Each failure names the first
-    failing gamma. Interval membership is decided on L*gamma in floating
-    point; a closed endpoint computed in floating point can lie just
-    outside the interval, where exact mode sees the certificate fail, and
-    `interval_grid` keeps its points inside. A NaN fails every check that
-    reads it. Requires finite L > 0 and mu > 0 with a finite, nonzero float
-    mu/L, and mu <= L.
+    signs are decided on the formulas' Fraction values and the identity
+    once for every (t, q) on symbols (`_decide_exact`), a failing one
+    reporting the float of the point's exact residual. Each failure names
+    the first failing gamma. Interval membership is decided on L*gamma in
+    floating point; a closed endpoint computed in floating point can lie
+    just outside the interval, where exact mode sees the certificate fail,
+    and `interval_grid` keeps its points inside. A NaN fails every check
+    that reads it. Requires finite L > 0 and mu > 0 with a finite, nonzero
+    float mu/L, and mu <= L.
     """
     if not (0 < L < math.inf and 0 < mu < math.inf and 0 < float(mu) / float(L) < math.inf):
         raise DomainError(f"L, mu and mu/L must be positive and finite, got L={float(L)!r}, mu={float(mu)!r}")
@@ -742,11 +761,12 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
         values = np.stack([per_gamma(m) for m in raw])
         floats = values.astype(float)
         raw_coeff = None if cert.remainder_coeff is None else cert.remainder_coeff(t, q)
-        combo = cert.weighted_combination(t, q, raw)
-        remainder = cert.remainder_expression(t, q, raw_coeff)
         coeff = per_gamma(0.0 if raw_coeff is None else raw_coeff)
-        # a NaN compares false and so fails
+        # a NaN compares false and so fails; an infinite multiplier makes
+        # inf - inf in the combination
         with np.errstate(invalid="ignore"):
+            combo = cert.weighted_combination(t, q, raw)
+            remainder = cert.remainder_expression(t, q, raw_coeff)
             mult_bad = ~(values >= -MULTIPLIER_TOL).all(0)
             rel = 0.0  # relative to the largest term; a zero residual stays zero
             diff = combo.a - remainder.a

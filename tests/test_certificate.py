@@ -355,11 +355,13 @@ class TestVerification:
         assert any("negative multiplier" in f for f in chk.failures)
         assert any(f.startswith("identity residual nan") for f in chk.failures)
 
+    @pytest.mark.parametrize("grid", [False, True])
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
-    def test_infinite_multiplier_fails(self, exact, value):
+    def test_infinite_multiplier_fails(self, exact, value, grid):
         # no identity holds with an infinite multiplier, and exact mode
-        # refuses one as a multiplier: it is not a nonnegative rational
+        # refuses one as a multiplier: it is not a nonnegative rational. On
+        # a grid the float combination meets inf - inf, silently
         cert = cm.certificate_for("Thm3.2-case1")
         bad = dataclasses.replace(
             cert,
@@ -368,8 +370,9 @@ class TestVerification:
                 for (cname, label, fn) in cert.multipliers
             ),
         )
-        chk = cm.verify_certificate(bad, 1.0, 0.1, 0.9, exact=exact)
-        assert chk.multipliers["alpha2"] == value
+        L, mu, gamma = (1.3, 0.2, cm.interval_grid(cert, 1.3, 7)) if grid else (1.0, 0.1, 0.9)
+        chk = cm.verify_certificate(bad, L, mu, gamma, exact=exact)
+        assert np.all(chk.multipliers["alpha2"] == value)
         assert any(f.startswith("identity residual nan") for f in chk.failures)
         assert any("negative multiplier" in f for f in chk.failures) == (exact or value < 0)
 
@@ -504,9 +507,9 @@ class TestCoefficientTables:
             entries = [Fraction(0)] * 9
             features = cm._features(t, 1 / q)
             for f, row in cm._table(name, True):
-                for e, coeff in row:  # integers, 4 times each coefficient
-                    assert type(coeff) is int, name
-                    entries[e] += Fraction(coeff, 4) * features[f]
+                for e, coeff in row:
+                    assert type(coeff) is Fraction, name
+                    entries[e] += coeff * features[f]
             want = cm._definition(name, q, t)
             assert entries == want.Q[np.triu_indices(3)].tolist() + want.c.tolist(), name
             # at L, Q scales by 1/L and c does not
@@ -548,21 +551,102 @@ class TestCoefficientTables:
         with pytest.raises(VerificationError, match="degree"):
             cm._table.__wrapped__("C12", True)  # uncached, so no table is replaced
 
-    def test_guard_rejects_a_coefficient_off_the_quarter_grid(self, monkeypatch):
-        original = cm._definition
-        monkeypatch.setattr(cm, "_definition", lambda name, q, t: original(name, q, t) / 3)
-        with pytest.raises(VerificationError, match="multiple of 1/4"):
-            cm._table.__wrapped__("C12", True)
-
     def test_tables_are_built_on_first_use(self):
         code = (
-            "from proxrate import certificate as cm; n = cm._table.cache_info().currsize; "
-            "cm.sweep_verify('Thm4.1', 1.0, 0.1, [1.0]); print(n, cm._table.cache_info().currsize)"
+            "from proxrate import certificate as cm\n"
+            "def counts(): return cm._table.cache_info().currsize, cm._proved.cache_info().misses\n"
+            "print(*counts())\n"
+            "cm.sweep_verify('Thm4.1', 1.0, 0.1, [1.0]); print(*counts())\n"
+            "cm.verify_certificate(cm.certificate_for('Thm4.1'), 1.0, 0.1, 1.0, exact=True); print(*counts())\n"
+            "cm.verify_certificate(cm.certificate_for('Thm4.1'), 1.0, 0.1, 1.5, exact=True); print(*counts())\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cm.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        # none at import; Thm4.1's three float tables and the exact ones they come from
-        assert out.stdout.split() == ["0", "6"]
+        # nothing at import; a float sweep builds Thm4.1's three float tables
+        # and the exact ones they come from, and proves nothing; the first
+        # exact check proves Thm4.1 on those exact tables, the second reuses it
+        assert out.stdout.splitlines() == ["0 0", "6 0", "6 1", "6 1"]
+
+
+def scaled(f, factor=Fraction(1001, 1000)):
+    return lambda *args: f(*args) * factor
+
+
+class TestProofs:
+    def test_catalog_is_proved(self):
+        for cert in cm.certificate_catalog():
+            assert cm._proved(cert), cert.case_id
+
+    @pytest.mark.parametrize("part", ["multiplier", "rate", "remainder coefficient", "remainder weight"])
+    def test_tampering_fails_the_proof(self, part):
+        for cert in cm.certificate_catalog():
+            if cert.remainder_coeff is None and part.startswith("remainder"):
+                continue
+            i = len(cert.multipliers) - 1
+            cname, label, formula = cert.multipliers[i]
+
+            def weights(t, q, w=cert.remainder_weights):
+                return {**w(t, q), "g1": w(t, q)["g1"] * Fraction(1001, 1000)}
+
+            bad = dataclasses.replace(cert, **{
+                "multiplier": {"multipliers": cert.multipliers[:i] + ((cname, label, scaled(formula)),)},
+                "rate": {"rate": scaled(cert.rate)},
+                "remainder coefficient": {"remainder_coeff": scaled(cert.remainder_coeff)},
+                "remainder weight": {"remainder_weights": weights},
+            }[part])
+            assert not cm._proved(bad), (cert.case_id, part)
+            # a point's report carries the exact residual there
+            lo, hi = cm.interval_grid(cert, 1.0, 2)
+            g = float(lo + (hi - lo) / 3)
+            chk = cm.verify_certificate(bad, 1.0, 0.1, g, exact=True)
+            assert chk.identity_residual > 0 and any("identity residual" in f for f in chk.failures), cert.case_id
+
+    def test_a_formula_that_cannot_run_on_symbols_is_not_proved(self):
+        cert = cm.certificate_for("Thm3.2-case1")
+        (cname, label, formula), *rest = cert.multipliers
+        rooted = dataclasses.replace(
+            cert, multipliers=((cname, label, lambda L, m, g: math.sqrt(formula(L, m, g) ** 2)), *rest)
+        )
+        assert cm.verify_certificate(rooted, 1.0, 0.1, 0.9).ok  # the same values in floats
+        assert not cm._proved(rooted)
+        chk = cm.verify_certificate(rooted, 1.0, 0.1, 0.9, exact=True)
+        assert not chk.ok and any("identity residual" in f for f in chk.failures)
+
+    @pytest.mark.parametrize(
+        "left, right, t, joins",
+        [
+            ("Thm3.2-case1", "Thm3.2-case2", Fraction(3, 2), True),
+            ("Thm4.2-case2", "Thm4.2-case3", Fraction(3, 2), True),
+            ("Thm4.2-case1", "Thm4.2-case2", 1, True),
+            ("Thm4.2-case1", "Thm4.2-case3", 1, False),
+        ],
+    )
+    def test_rates_join_for_every_q(self, left, right, t, joins):
+        # at a rational join the two branches' rates are one function of q
+        a, b = (cm.certificate_for(case).rate(1, cm._Q, t) for case in (left, right))
+        assert (not (a - b).num) == joins
+
+    def test_rational_functions_are_exact(self):
+        t, q = cm._T, cm._Q
+        assert not ((t + 1) ** 2 / (t + 1) - t - 1).num
+        assert not (0.1 * t - Fraction(0.1) * t).num and (0.1 * t - Fraction(1, 10) * t).num
+        assert not (1 / (1 / q) - q).num and not ((1 - q) + (q - 1)).num
+        # neither denominator divides the other
+        assert not (t / (1 + t) + 2 / (2 + q) - (2 + 4 * t + t * q) / ((1 + t) * (2 + q))).num
+        with pytest.raises(ValueError):
+            t * math.nan
+        with pytest.raises(OverflowError):
+            math.inf + q
+        with pytest.raises(ZeroDivisionError):
+            t / (q - q)
+        for bad in ("t", [1], None):
+            with pytest.raises(TypeError):
+                t * bad
+        for exponent in (-1, Fraction(1, 2), 0.5):
+            with pytest.raises(TypeError):
+                t**exponent
+        with pytest.raises(TypeError):
+            math.sqrt(t)
 
 
 class TestExactVanishing:
@@ -582,14 +666,6 @@ class TestExactVanishing:
         t = float(min(a + (b - a) * u, b))
         chk = cm.verify_certificate(cert, 1.0, q, t, exact=True)
         assert chk.ok and chk.identity_residual == 0.0, chk.failures
-
-        # the integer numerators over one denominator are the Gram algebra's entries
-        tx, qx = Fraction(t), Fraction(q)
-        values = [formula(1, qx, tx) for _cname, _label, formula in cert.multipliers]
-        rho = cert.rate(1, qx, tx)
-        nums, den = cert._numerators(tx, qx, values, rho)
-        assert all(type(n) is int for n in nums) and den > 0
-        assert [Fraction(n, den) for n in nums] == reference_combination(cert, tx, qx, values, rho).a.tolist()
 
         # one multiplier off by the factor 1 + 1/k breaks the identity, and only it
         i = which % len(cert.multipliers)
