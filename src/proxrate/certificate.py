@@ -468,7 +468,8 @@ def _square(weights) -> list:
 def _certificate(multipliers, rho, **fields) -> Certificate:
     """A Certificate from multiplier and rate formulas written in (t, q)."""
     def scale_free(f):
-        return lambda L, mu, gamma: f(L * gamma, mu / L)
+        # verification calls at L = 1, where L*gamma and mu/L are no-ops
+        return lambda L, mu, gamma: f(gamma, mu) if L == 1 else f(L * gamma, mu / L)
 
     mults = tuple((cname, label, scale_free(f)) for cname, label, f in multipliers)
     return Certificate(multipliers=mults, rate=scale_free(rho), **fields)

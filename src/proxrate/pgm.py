@@ -134,14 +134,13 @@ class _Eval(NamedTuple):
 def _evaluate(problem: CompositeProblem, gamma: float, x: np.ndarray, index: int) -> _Eval:
     """One step from x. Call it with numpy's invalid-value warnings off:
     a NaN or inf in g or y reaches rnorm, sometimes through inf - inf."""
-    fval = float(problem.f.value(x))
-    g = np.asarray(problem.f.gradient(x), dtype=float)
+    fval, g = problem.f.value_and_gradient(x)
     hval = float(problem.h.value(x))
     u = x - gamma * g
     y = np.asarray(problem.h.prox(u, gamma), dtype=float)
     s_next = (u - y) / gamma
     residual = g + s_next
-    rnorm = float(np.linalg.norm(residual))
+    rnorm = math.sqrt(residual.dot(residual))  # np.linalg.norm's formula, without its wrapper
     # one scalar test per step; the array tests run only when it fails,
     # and pass when the norm alone overflowed
     if not (math.isfinite(fval) and math.isfinite(hval) and math.isfinite(rnorm)):

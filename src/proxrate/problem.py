@@ -5,11 +5,16 @@ Lipschitz constant) with a prox-capable closed convex part h. This module
 also builds the three experiment families (sparse robust linear
 regression, lasso, elastic net) from seeded random data and serializes
 instances so runs are replayable.
+
+Each family's f is a loss of the residual r = Ax - b; its
+`value_and_gradient` computes r once and gives the bits of separate
+`value` and `gradient` calls. Any other oracle, including one rebuilt by
+`dataclasses.replace`, evaluates through its `value` and `gradient`.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,15 +26,32 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class SmoothOracle:
-    """First-order oracle for a smooth function with L-Lipschitz gradient."""
+    """First-order oracle for a smooth function with L-Lipschitz gradient.
+
+    `value_and_gradient(x)` is what the PGM step calls. A family oracle
+    runs its fused form, which computes the residual once; any other
+    oracle, including one rebuilt by `dataclasses.replace`, calls `value`
+    and then `gradient`, once each.
+    """
 
     value: Callable[[Array], float]
     gradient: Callable[[Array], Array]
     lipschitz: float
+    # set only by `_residual_oracle`; init=False, so `dataclasses.replace`
+    # does not carry it over to an oracle with other callables
+    _fused: Optional[Callable[[Array], tuple[float, Array]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not 0 < self.lipschitz < np.inf:
             raise DomainError(f"lipschitz constant must be positive and finite, got {self.lipschitz!r}")
+
+    def value_and_gradient(self, x: Array) -> tuple[float, Array]:
+        """(f(x), grad f(x)) as a float and a float array."""
+        if self._fused is not None:
+            return self._fused(x)
+        return float(self.value(x)), np.asarray(self.gradient(x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -92,18 +114,39 @@ def _check_data(A, b):
     return A, b, eig
 
 
+def _residual_oracle(A, b, loss, lipschitz) -> SmoothOracle:
+    """The oracle of f(x) = phi(Ax - b), where `loss(r)` returns phi(r) as
+    a float and its gradient in r. `value_and_gradient` computes r once;
+    a separate `value` or `gradient` call evaluates the whole loss."""
+
+    def value(x):
+        return loss(A @ x - b)[0]
+
+    def gradient(x):
+        return A.T @ loss(A @ x - b)[1]
+
+    def value_and_gradient(x):
+        fval, slope = loss(A @ x - b)
+        return fval, A.T @ slope
+
+    oracle = SmoothOracle(value, gradient, lipschitz)
+    object.__setattr__(oracle, "_fused", value_and_gradient)
+    return oracle
+
+
+def _half_squares(r):
+    return 0.5 * float(r @ r), r
+
+
+def _log_squares(r):
+    r2 = r * r
+    return float(np.log1p(r2).sum()), 2.0 * r / (r2 + 1.0)
+
+
 def _least_squares(A, b):
     """The least-squares oracle and the spectrum it took L from."""
     A, b, eig = _check_data(A, b)
-
-    def value(x):
-        r = A @ x - b
-        return 0.5 * float(r @ r)
-
-    def gradient(x):
-        return A.T @ (A @ x - b)
-
-    return SmoothOracle(value, gradient, float(eig[-1])), eig
+    return _residual_oracle(A, b, _half_squares, float(eig[-1])), eig
 
 
 def least_squares_oracle(A, b) -> SmoothOracle:
@@ -119,17 +162,7 @@ def robust_log_oracle(A, b) -> SmoothOracle:
     constant for the composition.
     """
     A, b, eig = _check_data(A, b)
-    L = 2.0 * float(eig[-1])
-
-    def value(x):
-        r = A @ x - b
-        return float(np.sum(np.log1p(r * r)))
-
-    def gradient(x):
-        r = A @ x - b
-        return A.T @ (2.0 * r / (r * r + 1.0))
-
-    return SmoothOracle(value, gradient, L)
+    return _residual_oracle(A, b, _log_squares, 2.0 * float(eig[-1]))
 
 
 def soft_threshold(x, t):
@@ -143,7 +176,7 @@ def l1_prox(lam: float) -> ProxOperator:
         raise DomainError(f"lambda must be positive and finite, got {lam!r}")
 
     def value(x):
-        return lam * float(np.sum(np.abs(x)))
+        return lam * float(np.abs(x).sum())
 
     def prox(x, gamma):
         return soft_threshold(x, gamma * lam)
@@ -163,7 +196,7 @@ def elastic_net_prox(lam: float, delta: float) -> ProxOperator:
         raise DomainError(f"delta must be positive and finite, got {delta!r}")
 
     def value(x):
-        return lam * float(np.sum(np.abs(x))) + 0.5 * delta * float(x @ x)
+        return lam * float(np.abs(x).sum()) + 0.5 * delta * float(x @ x)
 
     def prox(x, gamma):
         return soft_threshold(x, gamma * lam) / (1.0 + gamma * delta)

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -199,6 +200,94 @@ class TestCycleStop:
         for ref in (fstar, below):
             assert set(longer.contraction_factors(ref)) <= set(trace.contraction_factors(ref))
         assert longer.contraction_factors(below).size > trace.contraction_factors(below).size
+
+
+def scaled_lasso():
+    # scaled up, its 1/L run stops at a cycle (see test_cycling_reference_run_is_not_stale)
+    data = generate_instance("lasso", 40, 6, 0.1, seed=0)
+    return CompositeProblem(least_squares_oracle(data.A, 1e4 * data.b), l1_prox(1e3))
+
+
+def family(kind, delta=None):
+    return lambda: generate_instance(kind, 40, 6, 0.1, seed=2, delta=delta).problem()
+
+
+FAMILY_RUNS = [
+    # (problem, step in units of 1/L, max_iters, stop_tol), stopping on
+    # max_iters, stop_tol, stop_tol, stop_tol and cycle
+    pytest.param(family("srlr"), 0.5, 400, 1e-12, id="srlr-0.5"),
+    pytest.param(family("srlr"), 1.7, 400, 1e-12, id="srlr-1.7"),
+    pytest.param(family("lasso"), 1.0, 2_000, 1e-10, id="lasso-1"),
+    pytest.param(family("elastic_net", 0.5), 1.5, 2_000, 1e-10, id="elastic_net-1.5"),
+    pytest.param(scaled_lasso, 1.0, 2_000, 1e-13, id="scaled_lasso-1"),
+]
+
+
+def reference_run(problem, gamma, x1, max_iters, stop_tol):
+    """The PGM loop written out with separate oracle calls and
+    np.linalg.norm: visited points, F values, residual norms, stop rule."""
+    x = np.array(x1, dtype=float)
+    points, F_vals, norms, keys = [], [], [], []
+    for i in range(1, max_iters + 2):
+        g = problem.f.gradient(x)
+        u = x - gamma * g
+        y = problem.h.prox(u, gamma)
+        rnorm = float(np.linalg.norm(g + (u - y) / gamma))
+        points.append(x)
+        F_vals.append(float(problem.f.value(x)) + float(problem.h.value(x)))
+        norms.append(rnorm)
+        if rnorm <= stop_tol:
+            stop = "stop_tol"
+        elif x.tobytes() in keys[-CYCLE_WINDOW:]:
+            stop = "cycle"
+        elif i > max_iters:
+            stop = "max_iters"
+        else:
+            keys.append(x.tobytes())
+            x = y
+            continue
+        return np.array(points), np.array(F_vals), np.array(norms), stop
+
+
+def counted(fn, calls, key):
+    def wrapper(*args):
+        calls[key] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+class TestFamilyRuns:
+    @pytest.mark.parametrize("make, multiple, max_iters, stop_tol", FAMILY_RUNS)
+    def test_run_matches_reference_loop_bit_for_bit(self, make, multiple, max_iters, stop_tol):
+        problem = make()
+        gamma = multiple / problem.f.lipschitz
+        trace = run_pgm(problem, PgmConfig(gamma, max_iters, stop_tol), np.zeros(6))
+        points, F_vals, norms, stop = reference_run(problem, gamma, np.zeros(6), max_iters, stop_tol)
+        assert trace.points.tobytes() == points.tobytes()
+        assert trace.F_vals.tobytes() == F_vals.tobytes()
+        assert trace.residual_norms.tobytes() == norms.tobytes()
+        assert trace.stopped_on == stop
+
+    @pytest.mark.parametrize("make, multiple, max_iters, stop_tol", FAMILY_RUNS)
+    def test_rebuilt_oracle_calls_each_callable_once_per_point(self, make, multiple, max_iters, stop_tol):
+        # f rebuilt by dataclasses.replace, as a caller counting oracle calls does
+        problem = make()
+        calls = Counter()
+        f = dataclasses.replace(
+            problem.f,
+            value=counted(problem.f.value, calls, "value"),
+            gradient=counted(problem.f.gradient, calls, "gradient"),
+        )
+        rebuilt = dataclasses.replace(problem, f=f)
+        config = PgmConfig(multiple / problem.f.lipschitz, max_iters, stop_tol)
+        trace = run_pgm(rebuilt, config, np.zeros(6))
+        assert calls == {"value": len(trace.points), "gradient": len(trace.points)}
+        assert trace.points.tobytes() == run_pgm(problem, config, np.zeros(6)).points.tobytes()
+        calls.clear()
+        est = estimate_fstar(rebuilt, np.zeros(6), max_iters=max_iters)
+        assert calls == {"value": est.iterations + 1, "gradient": est.iterations + 1}
+        assert est == estimate_fstar(problem, np.zeros(6), max_iters=max_iters)
 
 
 def broken_problem(value=0.5, gradient=1.0, h_value=0.0, prox=zero_prox().prox):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -192,6 +193,40 @@ class TestProxProperties:
         h = zero_prox()
         x = rng.standard_normal(5)
         assert np.array_equal(h.prox(x, 0.7), x)
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def written_out(kind, A, b, x):
+    # each family's value and gradient as separate expressions
+    if kind == "srlr":
+        value = float(np.sum(np.log1p((A @ x - b) * (A @ x - b))))
+        return value, A.T @ (2.0 * (A @ x - b) / ((A @ x - b) * (A @ x - b) + 1.0))
+    return 0.5 * float((A @ x - b) @ (A @ x - b)), A.T @ (A @ x - b)
+
+
+class TestFusedEvaluation:
+    @pytest.mark.parametrize("kind, delta", [("srlr", None), ("lasso", None), ("elastic_net", 0.5)])
+    def test_matches_separate_calls_bit_for_bit(self, rng, kind, delta):
+        data = generate_instance(kind, 40, 6, 0.1, seed=3, delta=delta)
+        f = data.problem().f
+        signed_zeros = np.array([0.0, -0.0, 1.0, -0.0, -1.5, 0.0])
+        points = [rng.standard_normal(6) * scale for scale in (1e-3, 1.0, 1e3, 1e100)]
+        points += [np.zeros(6), -np.zeros(6), signed_zeros, 1e120 * signed_zeros]
+        for x in points:
+            value, gradient = f.value_and_gradient(x)
+            assert type(value) is float and gradient.dtype == float
+            for v, g in ((f.value(x), f.gradient(x)), written_out(kind, data.A, data.b, x)):
+                assert bits(value) == bits(v) and bits(gradient) == bits(g)
+
+    def test_rebuilt_oracle_composes_its_callables(self, rng):
+        f = generate_instance("srlr", 40, 6, 0.1, seed=3).problem().f
+        rebuilt = dataclasses.replace(f, value=lambda x: 1, gradient=lambda x: [2, 3])
+        value, gradient = rebuilt.value_and_gradient(rng.standard_normal(6))
+        assert type(value) is float and value == 1.0
+        assert gradient.dtype == float and gradient.tolist() == [2.0, 3.0]
 
 
 class TestSpectral:
