@@ -50,7 +50,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, VerificationError
+from .errors import DomainError, VerificationError, check_modulus, check_parameters
 from .interp import Point, convex_slack, pl_slack, rpl_slack, smooth_convex_slack, smooth_slack
 
 VECTOR_SYMBOLS = ("g1", "g2", "s2")
@@ -343,7 +343,11 @@ def _expression(entries, t, q, exact) -> GramExpression:
 
 
 def _features(t, u):
-    """The monomials a table's coefficients multiply, with u = 1/q."""
+    """The monomials a table's coefficients multiply, with u = 1/q; a
+    float u must be finite (it overflows at a subnormal q), an exact one
+    need not."""
+    if np.asarray(u).dtype == float and not np.isfinite(u).all():
+        raise DomainError("L/mu overflows in floating point: mu/L is too small for float tables")
     t2 = t * t
     return (1, t, t2, u, t * u, t2 * u)
 
@@ -649,12 +653,6 @@ class CertificateCheck:
         return not self.failures
 
 
-def check_modulus(L, mu):
-    """Refuse mu > L, where no theorem of the paper applies."""
-    if mu > L:
-        raise DomainError("mu > L rejected: the domination modulus cannot exceed the smoothness constant")
-
-
 def _rational(value) -> Optional[Fraction]:
     """value as a Fraction, a float converted exactly; None for NaN or infinity."""
     if type(value) is Fraction:
@@ -725,11 +723,10 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
     floating point; a closed endpoint computed in floating point can lie
     just outside the interval, where exact mode sees the certificate fail,
     and `interval_grid` keeps its points inside. A NaN fails every check
-    that reads it. Requires finite L > 0 and mu > 0 with a finite, nonzero
-    float mu/L, and mu <= L.
+    that reads it. (L, mu) must lie in `check_parameters`' domain, with
+    mu <= L; float mode also needs a finite float L/mu (`_features`).
     """
-    if not (0 < L < math.inf and 0 < mu < math.inf and 0 < float(mu) / float(L) < math.inf):
-        raise DomainError(f"L, mu and mu/L must be positive and finite, got L={float(L)!r}, mu={float(mu)!r}")
+    check_parameters(L, mu)
     check_modulus(L, mu)
     gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
     inside = cert.gamma_in_interval(L, gamma_arr)
@@ -840,12 +837,13 @@ def sweep_verify(case_id: str, L, mu, gamma_grid) -> SweepSummary:
 
 
 def interval_grid(cert: Certificate, L: float, n: int) -> np.ndarray:
-    """n >= 1 gammas spanning the case interval at L > 0, shrunk by
-    GRID_MARGIN at open endpoints. A closed endpoint is moved one ulp
-    inward: its float value can round to just outside the interval, where
-    exact arithmetic sees the certificate fail. L must leave 2/L finite."""
-    if not (L > 0 and 2.0 / float(L) < math.inf and n >= 1):
-        raise DomainError(f"interval grid needs L > 0 with 2/L finite and n >= 1, got L={float(L)!r}, n={n!r}")
+    """n >= 1 gammas spanning the case interval at L (`check_parameters`),
+    shrunk by GRID_MARGIN at open endpoints. A closed endpoint is moved one
+    ulp inward: its float value can round to just outside the interval,
+    where exact arithmetic sees the certificate fail."""
+    check_parameters(L)
+    if not n >= 1:
+        raise DomainError(f"interval grid needs n >= 1, got n={n!r}")
     lo, hi, lo_closed, hi_closed = cert.interval
     lo, hi = lo / L, hi / L
     span = hi - lo

@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 usage, 3 domain error, 4 verification failure,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -17,10 +16,10 @@ import numpy as np
 
 from . import certificate as cert_mod
 from . import pepsearch, rates
-from .errors import DomainError, VerificationError
+from .errors import DomainError, VerificationError, check_parameters
 from .experiments import ExperimentSpec, run_experiment
 from .pgm import PgmConfig, estimate_fstar, run_pgm
-from .problem import ProblemData, generate_instance
+from .problem import KINDS, ProblemData, generate_instance
 from .tableio import format_float, write_csv
 
 ENV_OUTPUT_DIR = "PROXRATE_OUTPUT_DIR"
@@ -37,6 +36,14 @@ def _resolve_output(path):
 
 def _add_seed(parser):
     parser.add_argument("--seed", type=int, default=0, help="64-bit PRNG seed (any integer)")
+
+
+def _add_instance_flags(parser, required):
+    parser.add_argument("--kind", choices=KINDS, required=required, help="generate an instance")
+    parser.add_argument("--n", type=int, default=200, help="rows, n >= 1")
+    parser.add_argument("--d", type=int, default=20, help="columns, d >= 1")
+    parser.add_argument("--lam", type=float, default=0.1, help="l1 weight, 0 < lam < inf")
+    parser.add_argument("--delta", type=float, help="ridge weight, 0 < delta < inf (elastic_net only)")
 
 
 def _add_query_flags(parser, need_gamma=True):
@@ -60,8 +67,7 @@ def _gamma_grid(args):
         if passed:
             raise DomainError(f"{', '.join(passed)} need --grid, not --gamma")
         return None
-    if not (args.L > 0 and 2.0 / args.L < math.inf):
-        raise DomainError(f"L must be positive with 2/L finite, got {args.L!r}")
+    check_parameters(args.L)
     if args.grid < 1:
         raise DomainError(f"--grid needs at least 1 point, got {args.grid}")
     lo = args.gamma_min if args.gamma_min is not None else 0.01 / args.L
@@ -239,11 +245,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="run the proximal gradient method on an instance")
     p.add_argument("--problem", help="instance JSON produced by this tool")
-    p.add_argument("--kind", choices=("srlr", "lasso", "elastic_net"), help="generate an instance")
-    p.add_argument("--n", type=int, default=200, help="rows, n >= 1")
-    p.add_argument("--d", type=int, default=20, help="columns, d >= 1")
-    p.add_argument("--lam", type=float, default=0.1, help="l1 weight, 0 < lam < inf")
-    p.add_argument("--delta", type=float, help="ridge weight, 0 < delta < inf (elastic_net only)")
+    _add_instance_flags(p, required=False)
     p.add_argument("--gamma", type=float, help="step size in (0, 2/L); default 1/L")
     p.add_argument("--max-iters", type=int, default=100_000, help="iteration cap (>= 1)")
     p.add_argument("--stop-tol", type=float, default=1e-10, help="residual-norm stop tolerance (>= 0)")
@@ -253,11 +255,7 @@ def build_parser():
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("experiment", help="step-size comparison on a seeded instance")
-    p.add_argument("--kind", choices=("srlr", "lasso", "elastic_net"), required=True)
-    p.add_argument("--n", type=int, default=200, help="rows, n >= 1")
-    p.add_argument("--d", type=int, default=20, help="columns, d >= 1")
-    p.add_argument("--lam", type=float, default=0.1, help="l1 weight, 0 < lam < inf")
-    p.add_argument("--delta", type=float, help="ridge weight, 0 < delta < inf (elastic_net only)")
+    _add_instance_flags(p, required=True)
     p.add_argument("--policies", help="comma list, e.g. '1/L,optimal,1.9/L'")
     p.add_argument("--budget", type=int, default=50_000, help="iteration cap per run (>= 1)")
     p.add_argument("--gap-tol", type=float, default=1e-8, help="target objective gap (> 0)")

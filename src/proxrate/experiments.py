@@ -18,7 +18,7 @@ import numpy as np
 from . import rates
 from .errors import DomainError
 from .pgm import PgmConfig, Trace, estimate_fstar, run_pgm
-from .problem import ProblemData, generate_instance
+from .problem import KINDS, ProblemData, generate_instance
 
 GAP_TOL = 1e-8
 TAIL_WINDOW = 100  # most factors tail_geometric_mean averages
@@ -108,7 +108,7 @@ class ExperimentSpec:
     gap_tol: float = GAP_TOL
 
     def __post_init__(self):
-        if self.kind not in DEFAULT_POLICIES:
+        if self.kind not in KINDS:
             raise DomainError(f"unknown experiment kind {self.kind!r}")
         if self.n < 1 or self.d < 1:
             raise DomainError("n and d must be positive")

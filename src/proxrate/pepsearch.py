@@ -21,14 +21,13 @@ must never exceed the analytic rate.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .certificate import CONSTRAINT_NAMES, build_constraint, check_modulus
-from .errors import DomainError, VerificationError
+from .certificate import CONSTRAINT_NAMES, build_constraint
+from .errors import DomainError, VerificationError, check_modulus, check_parameters
 from .rates import CASES, rate_formula
 
 # per pair, the constraints its certificates use, in CONSTRAINT_NAMES order
@@ -44,6 +43,8 @@ FEASIBILITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SearchParams:
+    """A search point: (L, mu, gamma) as in `check_parameters`, mu <= L."""
+
     fn_class: str
     ineq: str
     L: float
@@ -53,12 +54,8 @@ class SearchParams:
     def __post_init__(self):
         if (self.fn_class, self.ineq) not in CONSTRAINT_SETS:
             raise DomainError(f"unknown class/inequality pair ({self.fn_class!r}, {self.ineq!r})")
-        # a subnormal L leaves no finite bound on gamma
-        if not (0 < self.L and 0 < 2.0 / self.L < math.inf and 0 < self.mu < math.inf):
-            raise DomainError(f"L, 2/L and mu must be positive and finite, got L={self.L!r}, mu={self.mu!r}")
+        check_parameters(self.L, self.mu, self.gamma)
         check_modulus(self.L, self.mu)
-        if not 0 < self.gamma < 2.0 / self.L:
-            raise DomainError(f"gamma out of (0, 2/L): gamma={self.gamma!r}, L={self.L!r}")
 
     @property
     def constraint_names(self):

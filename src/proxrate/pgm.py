@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError
+from .errors import DomainError, NonFiniteError, check_parameters
 from .problem import CompositeProblem
 
 _EPS = float(np.finfo(float).eps)
@@ -37,21 +37,19 @@ CYCLE_WINDOW = 64
 
 @dataclass(frozen=True)
 class PgmConfig:
-    """Run parameters; `step` must satisfy 0 < step < 2/L at run start."""
+    """Run parameters; at run start (L, step) must lie in
+    `check_parameters`' domain, with L the gradient Lipschitz constant."""
 
     step: float
     max_iters: int = 100_000
     stop_tol: float = 1e-10
 
     def validate(self, lipschitz: float):
-        if not self.step > 0 or not self.step < 2.0 / lipschitz:
-            raise DomainError(
-                f"gamma out of (0, 2/L): gamma={self.step!r}, L={lipschitz!r}"
-            )
+        check_parameters(lipschitz, gamma=self.step)
         if self.max_iters < 1:
             raise DomainError("max_iters must be positive")
-        if self.stop_tol < 0:
-            raise DomainError("stop_tol must be nonnegative")
+        if not self.stop_tol >= 0:
+            raise DomainError(f"stop_tol must be nonnegative, got {self.stop_tol!r}")
 
 
 @dataclass

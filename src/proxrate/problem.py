@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .errors import DomainError
+from .errors import DomainError, check_parameters
 
 Array = np.ndarray
 
@@ -44,8 +44,7 @@ class SmoothOracle:
     )
 
     def __post_init__(self):
-        if not 0 < self.lipschitz < np.inf:
-            raise DomainError(f"lipschitz constant must be positive and finite, got {self.lipschitz!r}")
+        check_parameters(self.lipschitz)
 
     def value_and_gradient(self, x: Array) -> tuple[float, Array]:
         """(f(x), grad f(x)) as a float and a float array."""
@@ -67,8 +66,8 @@ class CompositeProblem:
     """F = f + h with an optional PL-type modulus.
 
     `mu_inequality` tags which inequality the modulus `mu` refers to:
-    "pl" (subgradient-distance form) or "rpl" (prox-residual form).
-    Oracles are pure functions of their inputs; instances are immutable
+    "pl" (subgradient-distance form) or "rpl" (prox-residual form), and
+    (f.lipschitz, mu) must lie in `check_parameters`' domain. Oracles are pure functions of their inputs; instances are immutable
     and safe to share across threads.
     """
 
@@ -79,8 +78,7 @@ class CompositeProblem:
 
     def __post_init__(self):
         if self.mu is not None:
-            if not self.mu > 0:
-                raise DomainError("mu must be positive when given")
+            check_parameters(self.f.lipschitz, self.mu)
             if self.mu_inequality not in ("pl", "rpl"):
                 raise DomainError("mu requires mu_inequality 'pl' or 'rpl'")
 

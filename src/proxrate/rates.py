@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .certificate import certificate_catalog, check_modulus
-from .errors import DomainError
+from .certificate import certificate_catalog
+from .errors import DomainError, check_modulus, check_parameters
 
 CONVEX = "convex"
 NONCONVEX = "nonconvex"
@@ -39,7 +39,7 @@ class RateQuery:
 
     def validate(self):
         _cases(self.fn_class, self.ineq)
-        _check_domain(self.L, self.mu, self.gamma)
+        check_parameters(self.L, self.mu, self.gamma)
         check_modulus(self.L, self.mu)
 
 
@@ -47,19 +47,6 @@ class RateQuery:
 class RateResult:
     rho: float
     branch: str
-
-
-def _check_domain(L, mu, gamma):
-    """L > 0, 0 < mu < inf and a float mu/L that is neither 0 nor inf,
-    then gamma in (0, 2/L), so every rate denominator is positive."""
-    if not L > 0:
-        raise DomainError(f"L must be positive, got {L!r}")
-    if not 0 < mu < math.inf:
-        raise DomainError(f"mu must be positive and finite, got {mu!r}")
-    if not 0 < mu / L < math.inf:
-        raise DomainError(f"mu/L must be positive and finite in floating point, got L={L!r}, mu={mu!r}")
-    if not 0 < gamma < 2.0 / L:
-        raise DomainError(f"gamma out of (0, 2/L): gamma={gamma!r}, L={L!r}")
 
 
 def _cases(fn_class, ineq):
@@ -72,11 +59,11 @@ def _cases(fn_class, ineq):
 def rate_formula(fn_class, ineq, L, mu, gamma) -> RateResult:
     """Branch-correct certified rate without the mu <= L admissibility gate.
 
-    Callers that need the guarded contract should use `rate`. L and mu
-    must still be positive and gamma in (0, 2/L), where every pair's last
-    case, open at 2/L, ends.
+    Callers that need the guarded contract should use `rate`. The
+    parameters must still lie in `check_parameters`' domain, where every
+    rate denominator is positive; every pair's last case ends at 2/L.
     """
-    _check_domain(L, mu, gamma)
+    check_parameters(L, mu, gamma)
     for cert in _cases(fn_class, ineq):
         _lo, hi, _lo_closed, hi_closed = cert.interval
         if gamma <= hi / L if hi_closed else gamma < hi / L:
@@ -104,8 +91,7 @@ def rpl_convex_interior_step(L, mu):
 
 def optimal_step(fn_class, ineq, L, mu) -> OptimalStep:
     """Step size minimizing the worst-case rate over (0, 2/L), for mu <= L."""
-    if not L > 0 or not mu > 0:
-        raise DomainError("L and mu must be positive")
+    check_parameters(L, mu)
     if fn_class == NONCONVEX and ineq == PL:
         g, branch = math.sqrt(3.0) / L, "Prop3.1"
     elif fn_class == CONVEX and ineq == PL:
@@ -127,8 +113,7 @@ def optimal_step(fn_class, ineq, L, mu) -> OptimalStep:
 def baseline_garrigos(L, mu, gamma):
     """Comparison rate 1/(1 + gamma*mu*(2 - gamma*L)) for smooth convex f
     under gradient domination; valid on gamma in (0, 2/L)."""
-    if not 0 < gamma < 2.0 / L:
-        raise DomainError(f"gamma out of (0, 2/L): gamma={gamma!r}, L={L!r}")
+    check_parameters(L, mu, gamma)
     return 1.0 / (1.0 + gamma * mu * (2.0 - gamma * L))
 
 

@@ -336,6 +336,31 @@ class TestDeterminismAndFuzz:
         assert code == 3 and err.startswith("error:domain:"), (code, err)
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--fn-class", "convex", "--ineq", "pl", "--L", "1e-310", "--mu", "1e-311", "--gamma", "1e300"],
+            ["optimal-step", "--fn-class", "convex", "--ineq", "pl", "--L", "1", "--mu", "inf"],
+            ["certify", "--L", "1", "--mu", "1e-310"],
+            [*PEP_SEARCH, "--L", "1", "--mu", "1e-310", "--gamma", "0.5"],
+            [*PEP_SEARCH, "--L", "1e300", "--mu", "1e-300", "--gamma", "1e-300"],
+            ["solve", "--kind", "lasso", "--n", "20", "--d", "4", "--stop-tol", "nan", "--max-iters", "50"],
+            ["experiment", "--kind", "lasso", "--n", "20", "--d", "4", "--policies", "1e300", "--outdir", "OUT"],
+        ],
+        ids=["rate", "optimal-step", "certify", "pep-search", "pep-search-underflow", "solve", "experiment"],
+    )
+    def test_refusal_contract_at_the_file_descriptors(self, argv, tmp_path):
+        # a subprocess sees native writes to fd 1 and 2 (LAPACK's messages),
+        # which capsys cannot
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "proxrate.cli", *(str(out) if a == "OUT" else a for a in argv)],
+            env=SRC_ENV, capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (3, ""), (proc.returncode, proc.stdout, proc.stderr)
+        assert proc.stderr.startswith("error:domain:") and proc.stderr.count("\n") == 1, proc.stderr
+        assert not out.exists()
+
     def test_entrypoint_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "proxrate.cli", "rate", "--fn-class", "nonconvex",

@@ -5,13 +5,14 @@ import pytest
 
 from proxrate.errors import DomainError
 from proxrate.experiments import (
+    DEFAULT_POLICIES,
     ExperimentSpec,
     parse_policy,
     run_experiment,
     tail_geometric_mean,
 )
 from proxrate.pgm import PgmConfig, run_pgm
-from proxrate.problem import generate_instance
+from proxrate.problem import KINDS, generate_instance
 
 
 class TestPolicyParsing:
@@ -42,6 +43,12 @@ class TestPolicyParsing:
 
 
 class TestSpecValidation:
+    def test_every_kind_has_default_policies(self):
+        # ExperimentSpec accepts the kinds of problem.KINDS
+        assert tuple(DEFAULT_POLICIES) == KINDS
+        with pytest.raises(DomainError):
+            ExperimentSpec(kind="ridge")
+
     def test_delta_pairing(self):
         with pytest.raises(DomainError):
             ExperimentSpec(kind="lasso", delta=1.0)
