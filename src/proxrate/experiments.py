@@ -2,9 +2,10 @@
 
 Each experiment generates a seeded random instance, computes a reference
 objective value from a long run at step 1/L, then runs one trace per
-step policy from a shared start (the origin) and tabulates iterations to
-a target gap, observed contraction factors, and, where a domination
-modulus is known, the analytic worst-case bound.
+step policy from a shared start (the origin), each stopped once its
+objective is within the significance floor of that value, and tabulates
+iterations to a target gap, observed contraction factors, and, where a
+domination modulus is known, the analytic worst-case bound.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import rates
 from .errors import DomainError
-from .pgm import PgmConfig, Trace, estimate_fstar, run_pgm
+from .pgm import PgmConfig, Trace, estimate_fstar, run_pgm, significance_floor
 from .problem import KINDS, ProblemData, generate_instance
 
 GAP_TOL = 1e-8
@@ -193,7 +194,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     The reference value is the best objective seen anywhere: a long run
     at 1/L with tight residual tolerance, then lowered further if some
     policy's trace ends below it (policies can reach different basins on
-    the nonconvex family).
+    the nonconvex family). Each policy run stops at its first point within
+    the significance floor of the long run's value, where its gaps stop
+    yielding factors. A run that passes below that value keeps the plain
+    stop rules, as do all runs when the long run is stale or gap_tol is
+    below twice the floor (a cut run could then stop short of gap_tol).
     """
     data = generate_instance(spec.kind, spec.n, spec.d, spec.lam, spec.seed, spec.delta)
     problem = data.problem()
@@ -202,11 +207,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     x0 = np.zeros(spec.d)
 
     reference = estimate_fstar(problem, x0, max_iters=max(200_000, spec.budget))
+    plain = reference.stale or spec.gap_tol < 2.0 * significance_floor(reference.value)
+    cut = None if plain else reference.value
 
     traces = []
     for policy in spec.policies():
         gamma, branch = policy.resolve(spec.kind, L, mu)
-        config = PgmConfig(step=gamma, max_iters=spec.budget, stop_tol=1e-14)
+        config = PgmConfig(step=gamma, max_iters=spec.budget, stop_tol=1e-14, reference=cut)
         traces.append((policy, gamma, branch, run_pgm(problem, config, x0)))
 
     fhat = min(reference.value, min(float(t.F_vals.min()) for (_, _, _, t) in traces))

@@ -23,8 +23,12 @@ from .problem import CompositeProblem
 
 _EPS = float(np.finfo(float).eps)
 
-# gaps below this multiple of machine epsilon are 0/0 noise, not signal
-CONTRACTION_SIGNIFICANCE = 1e2
+# gaps below this multiple of eps*(1 + |F*|) are rounding, not signal.
+# F sums m nonnegative terms (n losses, d penalties), and that sum errs by
+# at most gamma_m*F, about (m/2)*eps*F (Higham 2002, sec. 4.2), so a gap
+# above the floor is signal for m < K. A shift of F* by k ulps moves each
+# factor whose gaps clear the floor by at most k/(K - k) relative
+CONTRACTION_SIGNIFICANCE = 1e4
 
 # residual-norm tolerance of the reference run behind estimate_fstar
 FSTAR_STOP_TOL = 1e-13
@@ -35,14 +39,22 @@ FSTAR_STOP_TOL = 1e-13
 CYCLE_WINDOW = 64
 
 
+def significance_floor(fstar: float) -> float:
+    """Gaps F - fstar at or below this are rounding, not signal."""
+    return CONTRACTION_SIGNIFICANCE * _EPS * (1.0 + abs(fstar))
+
+
 @dataclass(frozen=True)
 class PgmConfig:
     """Run parameters; at run start (L, step) must lie in
-    `check_parameters`' domain, with L the gradient Lipschitz constant."""
+    `check_parameters`' domain, with L the gradient Lipschitz constant.
+    Given a reference value, the run also stops at its first point within
+    `significance_floor(reference)` of it."""
 
     step: float
     max_iters: int = 100_000
     stop_tol: float = 1e-10
+    reference: Optional[float] = None
 
     def validate(self, lipschitz: float):
         check_parameters(lipschitz, gamma=self.step)
@@ -50,6 +62,8 @@ class PgmConfig:
             raise DomainError("max_iters must be positive")
         if not self.stop_tol >= 0:
             raise DomainError(f"stop_tol must be nonnegative, got {self.stop_tol!r}")
+        if self.reference is not None and not math.isfinite(self.reference):
+            raise DomainError(f"reference must be finite, got {self.reference!r}")
 
 
 @dataclass
@@ -69,9 +83,11 @@ class Trace:
     residual_norms: np.ndarray
     gradients: np.ndarray
     subgradients: np.ndarray
-    # "stop_tol" (residual norm at most stop_tol) | "max_iters" (budget
-    # ran out) | "cycle" (the last point repeats one of the CYCLE_WINDOW
-    # points before it bit for bit, so later rows would repeat earlier ones)
+    # "reference" (F within the significance floor of PgmConfig.reference,
+    # so later gaps would publish no factor) | "stop_tol" (residual norm at
+    # most stop_tol) | "max_iters" (budget ran out) | "cycle" (the last
+    # point repeats one of the CYCLE_WINDOW points before it bit for bit,
+    # so later rows would repeat earlier ones)
     stopped_on: str
     increase_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
@@ -91,7 +107,7 @@ class Trace:
         """Per-row gaps F_i - F*, and the mask of steps i -> i+1 whose two
         gaps both clear the significance floor (so neither is zero)."""
         gaps = self.F_vals - fstar
-        floor = CONTRACTION_SIGNIFICANCE * _EPS * (1.0 + abs(fstar))
+        floor = significance_floor(fstar)
         return gaps, (gaps[:-1] > floor) & (gaps[1:] > floor)
 
     def contraction_factors(self, fstar: float) -> np.ndarray:
@@ -102,8 +118,8 @@ class Trace:
     def to_csv(self, path, fstar: Optional[float] = None):
         """Write iter, F, gap, residual_norm, contraction rows.
 
-        Gap and contraction columns are left blank when fstar is unknown
-        or when the gap falls below the significance floor.
+        Gap and contraction columns are left blank when fstar is unknown,
+        and a contraction cell also unless both its gaps clear the floor.
         """
         from .tableio import format_float, write_csv
 
@@ -166,12 +182,13 @@ def residual(problem: CompositeProblem, gamma: float, x) -> tuple[np.ndarray, fl
     return ev.residual, ev.rnorm
 
 
-def _iterates(problem: CompositeProblem, gamma: float, x1, max_iters: int, stop_tol: float):
+def _iterates(problem: CompositeProblem, gamma: float, x1, max_iters: int, stop_tol: float, reference: Optional[float] = None):
     """Yield (x_i, _evaluate(x_i), stop) for i = 1, 2, ...; `stop` is None
     except on the last point, where it is the run's `Trace.stopped_on`.
 
-    The run stops at the first point whose residual norm is at most
-    stop_tol, or that equals one of the CYCLE_WINDOW points before it
+    The run stops at the first point whose F lies within the significance
+    floor of `reference` (when one is given), whose residual norm is at
+    most stop_tol, or that equals one of the CYCLE_WINDOW points before it
     (the map is deterministic, so every later row would repeat an
     earlier one), or at x_{max_iters+1}. Consume it with numpy's
     invalid-value warnings off (see `_evaluate`).
@@ -180,10 +197,13 @@ def _iterates(problem: CompositeProblem, gamma: float, x1, max_iters: int, stop_
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("non-finite starting point")
     recent = {}  # byte keys of the last CYCLE_WINDOW points, oldest first
+    floor = significance_floor(reference or 0.0)
     for i in range(1, max_iters + 2):
         ev = _evaluate(problem, gamma, x, i)
         key = x.tobytes()
-        if ev.rnorm <= stop_tol:
+        if reference is not None and abs(ev.F - reference) <= floor:
+            stop = "reference"
+        elif ev.rnorm <= stop_tol:
             stop = "stop_tol"
         elif key in recent:
             stop = "cycle"
@@ -201,8 +221,8 @@ def _iterates(problem: CompositeProblem, gamma: float, x1, max_iters: int, stop_
 
 
 def run_pgm(problem: CompositeProblem, config: PgmConfig, x1) -> Trace:
-    """Run the iteration from x1 until stop_tol on ||G_gamma||, a
-    floating-point cycle, or max_iters.
+    """Run the iteration from x1 until the reference value (if given),
+    stop_tol on ||G_gamma||, a floating-point cycle, or max_iters.
 
     A value increase is recorded (not an error): with a valid step the
     objective is nonincreasing, so increases flag modeling or scaling
@@ -212,7 +232,7 @@ def run_pgm(problem: CompositeProblem, config: PgmConfig, x1) -> Trace:
     gamma = config.step
     rows = []
     with np.errstate(invalid="ignore"):
-        for x, ev, stopped_on in _iterates(problem, gamma, x1, config.max_iters, config.stop_tol):
+        for x, ev, stopped_on in _iterates(problem, gamma, x1, config.max_iters, config.stop_tol, config.reference):
             rows.append((x, ev.g, ev.s_next, ev.F, ev.rnorm))
     points, grads, subs, F_vals, res_norms = (np.array(col) for col in zip(*rows))
     # flag only increases that exceed evaluation roundoff

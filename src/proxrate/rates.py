@@ -119,11 +119,15 @@ def baseline_garrigos(L, mu, gamma):
 
 def baseline_zhang(mu, gamma, L: Optional[float] = None):
     """Comparison rate (1 - gamma*mu)/(1 + gamma*mu) for the residual
-    inequality; stated only for gamma in (0, 1/L], checked when L given."""
-    if not gamma > 0:
-        raise DomainError("gamma must be positive")
-    if L is not None and gamma > 1.0 / L:
-        raise DomainError(f"gamma out of (0, 1/L]: gamma={gamma!r}, L={L!r}")
+    inequality; stated only for 0 < mu < inf and gamma > 0 with gamma*mu
+    <= 1, and, when L is given, (L, mu, gamma) in `check_parameters`'
+    domain with gamma <= 1/L."""
+    if L is not None:
+        check_parameters(L, mu, gamma)
+        if gamma > 1.0 / L:
+            raise DomainError(f"gamma out of (0, 1/L]: gamma={gamma!r}, L={L!r}")
+    if not (0 < mu < math.inf and gamma > 0 and gamma * mu <= 1):
+        raise DomainError(f"baseline_zhang needs 0 < mu < inf, gamma > 0 and gamma*mu <= 1, got mu={mu!r}, gamma={gamma!r}")
     return (1.0 - gamma * mu) / (1.0 + gamma * mu)
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import proxrate.experiments as experiments
 from proxrate.errors import DomainError
 from proxrate.experiments import (
     DEFAULT_POLICIES,
@@ -11,7 +13,7 @@ from proxrate.experiments import (
     run_experiment,
     tail_geometric_mean,
 )
-from proxrate.pgm import PgmConfig, run_pgm
+from proxrate.pgm import FstarEstimate, PgmConfig, estimate_fstar, run_pgm
 from proxrate.problem import KINDS, generate_instance
 
 
@@ -128,3 +130,75 @@ class TestRunExperiment:
         assert summary[0] == "policy,gamma,iterations_to_tol,max_contraction,analytic_bound"
         assert len(summary) == 1 + len(res.runs)
         assert (outdir / "trace_1_per_L.csv").exists()
+
+
+CUT_SPECS = [
+    ExperimentSpec(kind="srlr", n=100, d=10, seed=0, budget=20_000),
+    ExperimentSpec(kind="lasso", n=40, d=6, seed=2, budget=30_000),
+    ExperimentSpec(kind="elastic_net", n=60, d=8, lam=0.1, delta=0.01, seed=1, budget=30_000),
+]
+
+
+def plain_runs(res):
+    """Each policy's run from the origin under the stop rules without a
+    reference value."""
+    problem = res.data.problem()
+    return [run_pgm(problem, PgmConfig(r.gamma, res.spec.budget, 1e-14), np.zeros(res.spec.d)) for r in res.runs]
+
+
+def published(trace, fhat, gap_tol):
+    """(iterations_to_tol, max_contraction, tail_geomean) of a trace."""
+    hit = np.nonzero(trace.F_vals - fhat <= gap_tol)[0]
+    factors = trace.contraction_factors(fhat)
+    return (int(hit[0]) if hit.size else None, float(factors.max()) if factors.size else None, tail_geometric_mean(factors))
+
+
+class TestReferenceCut:
+    @pytest.fixture(scope="class", params=CUT_SPECS, ids=lambda s: s.kind)
+    def cut(self, request):
+        res = run_experiment(request.param)
+        return res, plain_runs(res)
+
+    def test_cut_run_publishes_what_the_plain_run_does(self, cut):
+        res, plain = cut
+        for r, p in zip(res.runs, plain):
+            assert r.trace.stopped_on == "reference"
+            assert r.trace.iterations < p.iterations
+            assert np.array_equal(r.trace.F_vals, p.F_vals[: r.trace.iterations + 1])
+            # given the same fhat, the rows after the cut add no published number
+            assert published(p, res.fhat, res.spec.gap_tol) == (r.iterations_to_tol, r.max_contraction, r.tail_geomean)
+            assert r.trace.contraction_factors(res.fhat).size >= 10
+
+    @pytest.mark.parametrize("ulps", [-2, -1, 1, 2])
+    def test_fhat_ulp_shift_moves_max_contraction_within_precision(self, cut, ulps):
+        # every factor's gaps exceed K*eps*(1 + |fhat|), and k ulps of fhat
+        # are at most k*eps*|fhat|, so each factor moves by at most k/(K - k):
+        # about 1e-4 per ulp at K = 1e4
+        res, _ = cut
+        shifted = res.fhat
+        for _ in range(abs(ulps)):
+            shifted = np.nextafter(shifted, math.copysign(math.inf, ulps))
+        for r in res.runs:
+            moved = float(r.trace.contraction_factors(shifted).max())
+            assert abs(moved - r.max_contraction) <= abs(ulps) / (1e4 - abs(ulps)) * r.max_contraction
+
+    @pytest.mark.parametrize("case", ["stale", "gap_tol below the floor", "passed below"])
+    def test_uncut_runs_keep_the_plain_stop_rules(self, monkeypatch, case):
+        spec = CUT_SPECS[1]
+        if case == "stale":
+            # a reference run with a tiny budget
+            monkeypatch.setattr(experiments, "estimate_fstar", lambda problem, x1, max_iters: estimate_fstar(problem, x1, 5))
+        elif case == "gap_tol below the floor":
+            spec = dataclasses.replace(spec, gap_tol=1e-13)
+        else:
+            # a reference value that the 1/L run steps over and then drops far
+            # below, as a run that reaches another basin on srlr does
+            spec = dataclasses.replace(spec, step_policies=["1/L"])
+            problem = generate_instance(spec.kind, spec.n, spec.d, spec.lam, spec.seed).problem()
+            F = run_pgm(problem, PgmConfig(1.0 / problem.f.lipschitz, max_iters=4), np.zeros(spec.d)).F_vals
+            monkeypatch.setattr(experiments, "estimate_fstar", lambda *args, **kwargs: FstarEstimate(0.5 * (F[3] + F[4]), False, 0))
+        res = run_experiment(spec)
+        assert res.fhat_stale == (case == "stale")
+        for r, p in zip(res.runs, plain_runs(res), strict=True):
+            assert r.trace.stopped_on == p.stopped_on != "reference"
+            assert np.array_equal(r.trace.points, p.points) and np.array_equal(r.trace.F_vals, p.F_vals)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -34,6 +35,12 @@ class TestConfig:
         with pytest.raises(DomainError):
             PgmConfig(step=0.0).validate(1.0)
         PgmConfig(step=1.999).validate(1.0)
+
+    @pytest.mark.parametrize("reference", [math.inf, -math.inf, math.nan])
+    def test_reference_must_be_finite(self, reference):
+        # an infinite reference would stop every run at its first point
+        with pytest.raises(DomainError):
+            PgmConfig(step=1.0, reference=reference).validate(1.0)
 
     def test_run_rejects_bad_step(self):
         with pytest.raises(DomainError):

@@ -208,6 +208,16 @@ class TestBaselines:
         with pytest.raises(DomainError):
             baseline_zhang(0.1, 1.5, L=1.0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(0.1, 1e300), (0.1, 50.0), (math.inf, 0.5, 1.0), (0.1, 1e300, 1e-310), (0.1, 0.5, 1e-310), (0.0, 1.0), (math.nan, 1.0), (0.1, -1.0)],
+    )
+    def test_zhang_refuses_a_negative_or_nan_rate(self, args):
+        # outside its domain the formula gives -1.0, -0.667 or nan; at a
+        # subnormal L, 1/L is inf and only check_parameters refuses it
+        with pytest.raises(DomainError):
+            baseline_zhang(*args)
+
     def test_zhang_equals_convex_rpl_on_small_steps(self, rng):
         L, mu = 1.0, 0.1
         for g in np.linspace(0.01, 1.0, 50):
