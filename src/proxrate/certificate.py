@@ -423,13 +423,16 @@ class Certificate:
     interval: tuple  # (lo, hi, lo_closed, hi_closed) in t
     check_kind: str  # "equality" | "inequality-chain"
 
-    def gamma_in_interval(self, L, gamma) -> np.ndarray:
+    def contains(self, L, gamma):
+        """The case-membership rule: gamma compared with lo/L and hi/L in
+        floating point, with no tolerance. A float gamma gives a bool, an
+        array an array; `rates.rate_formula` picks its case by this rule."""
         lo, hi, lo_closed, hi_closed = self.interval
-        t = float(L) * np.asarray(gamma, dtype=float)
-        tol = 1e-12
-        above = t >= lo * (1 - tol) if lo_closed else t > lo * (1 + tol)
-        below = t <= hi * (1 + tol) if hi_closed else t < hi * (1 - tol)
-        return above & below
+        above = gamma >= lo / L if lo_closed else gamma > lo / L
+        return above & (gamma <= hi / L if hi_closed else gamma < hi / L)
+
+    def gamma_in_interval(self, L, gamma) -> np.ndarray:
+        return self.contains(float(L), np.asarray(gamma, dtype=float))
 
     def remainder_expression(self, t, q, coeff=None, weights=None) -> GramExpression:
         """coeff * ||w||^2 with w = sum of weight * vector symbol, written
@@ -719,10 +722,12 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
     signs are decided on the formulas' Fraction values and the identity
     once for every (t, q) on symbols (`_decide_exact`), a failing one
     reporting the float of the point's exact residual. Each failure names
-    the first failing gamma. Interval membership is decided on L*gamma in
-    floating point; a closed endpoint computed in floating point can lie
-    just outside the interval, where exact mode sees the certificate fail,
-    and `interval_grid` keeps its points inside. A NaN fails every check
+    the first failing gamma. Interval membership is `Certificate.contains`,
+    the rule `rates.rate_formula` picks its case by, so every gamma that
+    `rate_formula` assigns to a case verifies against it. A point inside
+    by that float rule can still have an exact t = L*gamma just outside
+    the interval, where exact mode sees the certificate fail;
+    `interval_grid` keeps its points inside. A NaN fails every check
     that reads it. (L, mu) must lie in `check_parameters`' domain, with
     mu <= L; float mode also needs a finite float L/mu (`_features`).
     """

@@ -18,7 +18,7 @@ from . import certificate as cert_mod
 from . import pepsearch, rates
 from .errors import DomainError, VerificationError, check_parameters
 from .experiments import ExperimentSpec, run_experiment
-from .pgm import PgmConfig, estimate_fstar, run_pgm
+from .pgm import REFERENCE_BUDGET, PgmConfig, estimate_fstar, run_pgm
 from .problem import KINDS, ProblemData, generate_instance
 from .tableio import format_float, write_csv
 
@@ -40,15 +40,15 @@ def _add_seed(parser):
 
 def _add_instance_flags(parser, required):
     parser.add_argument("--kind", choices=KINDS, required=required, help="generate an instance")
-    parser.add_argument("--n", type=int, default=200, help="rows, n >= 1")
-    parser.add_argument("--d", type=int, default=20, help="columns, d >= 1")
-    parser.add_argument("--lam", type=float, default=0.1, help="l1 weight, 0 < lam < inf")
+    parser.add_argument("--n", type=int, default=ExperimentSpec.n, help="rows, n >= 1")
+    parser.add_argument("--d", type=int, default=ExperimentSpec.d, help="columns, d >= 1")
+    parser.add_argument("--lam", type=float, default=ExperimentSpec.lam, help="l1 weight, 0 < lam < inf")
     parser.add_argument("--delta", type=float, help="ridge weight, 0 < delta < inf (elastic_net only)")
 
 
 def _add_query_flags(parser, need_gamma=True):
-    parser.add_argument("--fn-class", choices=("convex", "nonconvex"), required=True, help="smooth part class")
-    parser.add_argument("--ineq", choices=("pl", "rpl"), required=True, help="domination inequality flavor")
+    parser.add_argument("--fn-class", choices=sorted({c for c, _ in rates.CASES}), required=True, help="smooth part class")
+    parser.add_argument("--ineq", choices=sorted({i for _, i in rates.CASES}), required=True, help="domination inequality flavor")
     parser.add_argument("--L", type=float, required=True, help="gradient Lipschitz constant, L > 0")
     parser.add_argument("--mu", type=float, required=True, help="domination modulus, 0 < mu <= L")
     if need_gamma:
@@ -169,7 +169,7 @@ def cmd_solve(args):
     trace = run_pgm(problem, config, x0)
     fstar = None
     if args.with_reference:
-        fstar = estimate_fstar(problem, x0, max_iters=max(200_000, args.max_iters)).value
+        fstar = estimate_fstar(problem, x0, max_iters=max(REFERENCE_BUDGET, args.max_iters)).value
     out = _resolve_output(args.output)
     if out is not None:
         trace.to_csv(out, fstar=fstar)
@@ -247,8 +247,8 @@ def build_parser():
     p.add_argument("--problem", help="instance JSON produced by this tool")
     _add_instance_flags(p, required=False)
     p.add_argument("--gamma", type=float, help="step size in (0, 2/L); default 1/L")
-    p.add_argument("--max-iters", type=int, default=100_000, help="iteration cap (>= 1)")
-    p.add_argument("--stop-tol", type=float, default=1e-10, help="residual-norm stop tolerance (>= 0)")
+    p.add_argument("--max-iters", type=int, default=PgmConfig.max_iters, help="iteration cap (>= 1)")
+    p.add_argument("--stop-tol", type=float, default=PgmConfig.stop_tol, help="residual-norm stop tolerance (>= 0)")
     p.add_argument("--with-reference", action="store_true", help="add gap/contraction columns vs a reference run")
     p.add_argument("--output", help="trace CSV path")
     _add_seed(p)
@@ -257,8 +257,8 @@ def build_parser():
     p = sub.add_parser("experiment", help="step-size comparison on a seeded instance")
     _add_instance_flags(p, required=True)
     p.add_argument("--policies", help="comma list, e.g. '1/L,optimal,1.9/L'")
-    p.add_argument("--budget", type=int, default=50_000, help="iteration cap per run (>= 1)")
-    p.add_argument("--gap-tol", type=float, default=1e-8, help="target objective gap (> 0)")
+    p.add_argument("--budget", type=int, default=ExperimentSpec.budget, help="iteration cap per run (>= 1)")
+    p.add_argument("--gap-tol", type=float, default=ExperimentSpec.gap_tol, help="target objective gap (> 0)")
     p.add_argument("--outdir", help="directory for trace and summary CSVs")
     _add_seed(p)
     p.set_defaults(fn=cmd_experiment)

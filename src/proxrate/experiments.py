@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rates
 from .errors import DomainError
-from .pgm import PgmConfig, Trace, estimate_fstar, run_pgm, significance_floor
+from .pgm import REFERENCE_BUDGET, PgmConfig, Trace, estimate_fstar, run_pgm, significance_floor
 from .problem import KINDS, ProblemData, generate_instance
 
 GAP_TOL = 1e-8
@@ -33,12 +33,12 @@ DEFAULT_POLICIES = {
     "elastic_net": ("1/L", "optimal", "1.9/L"),
 }
 
-# (function class, inequality) of the rates.optimal_step rule that the
-# "optimal" policy uses for elastic net; srlr and lasso take the fixed
-# Prop3.1/Prop3.2 steps. It selects the paper's Prop4.2 rule at lmin+delta,
-# a reproduced step the program does not certify: that modulus is tagged
-# "pl" (see ProblemData.problem), and the published bound follows the tag.
-_ELASTIC_NET_SETTING = ("convex", "rpl")
+# (function class, inequality) whose rates.STEP_RULES rule the "optimal"
+# policy takes on each family. Elastic net takes the paper's Prop4.2 rule
+# at lmin+delta, a reproduced step the program does not certify: that
+# modulus is tagged "pl" (see ProblemData.problem), and the published
+# bound follows the tag.
+OPTIMAL_STEP_PAIR = {"srlr": ("nonconvex", "pl"), "lasso": ("convex", "pl"), "elastic_net": ("convex", "rpl")}
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,13 @@ class StepPolicy:
             return self.value / L, self.label
         if self.kind == "absolute":
             return float(self.value), self.label
-        if problem_kind == "srlr":
-            return math.sqrt(3.0) / L, "Prop3.1"
-        if problem_kind == "lasso":
-            return 1.5 / L, "Prop3.2"
-        if mu is None:
+        if mu is None and problem_kind == "elastic_net":
             raise DomainError("optimal policy for elastic_net needs mu")
         # a modulus at or above L still certifies every weaker one, and
-        # the step-selection rule needs mu strictly below L
-        mu_eff = mu if mu < L else L * (1.0 - 1e-12)
-        step = rates.optimal_step(*_ELASTIC_NET_SETTING, L, mu_eff)
-        return step.gamma_star, step.branch
+        # the convex-rpl rule needs mu strictly below L
+        if mu is not None and not mu < L:
+            mu = L * (1.0 - 1e-12)
+        return rates.STEP_RULES[OPTIMAL_STEP_PAIR[problem_kind]](L, mu)
 
 
 def parse_policy(text) -> StepPolicy:
@@ -149,18 +145,7 @@ class ExperimentResult:
     runs: list[PolicyRun] = field(default_factory=list)
 
     def summary_rows(self):
-        rows = []
-        for r in self.runs:
-            rows.append(
-                [
-                    r.policy.label,
-                    r.gamma,
-                    "" if r.iterations_to_tol is None else r.iterations_to_tol,
-                    "" if r.max_contraction is None else r.max_contraction,
-                    "" if r.analytic_bound is None else r.analytic_bound,
-                ]
-            )
-        return rows
+        return [[r.policy.label, r.gamma, r.iterations_to_tol, r.max_contraction, r.analytic_bound] for r in self.runs]
 
     def write_csvs(self, outdir):
         from .tableio import write_csv
@@ -206,7 +191,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     mu = problem.mu
     x0 = np.zeros(spec.d)
 
-    reference = estimate_fstar(problem, x0, max_iters=max(200_000, spec.budget))
+    reference = estimate_fstar(problem, x0, max_iters=max(REFERENCE_BUDGET, spec.budget))
     plain = reference.stale or spec.gap_tol < 2.0 * significance_floor(reference.value)
     cut = None if plain else reference.value
 

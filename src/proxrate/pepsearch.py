@@ -26,40 +26,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .certificate import CONSTRAINT_NAMES, build_constraint
-from .errors import DomainError, VerificationError, check_modulus, check_parameters
-from .rates import CASES, rate_formula
+from .certificate import build_constraint
+from .errors import VerificationError
+from .rates import CONSTRAINT_SETS, RateQuery, rate_formula
 
-# per pair, the constraints its certificates use, in CONSTRAINT_NAMES order
-CONSTRAINT_SETS = {
-    pair: tuple(n for n in CONSTRAINT_NAMES if any(n == cname for cert in certs for cname, _, _ in cert.multipliers))
-    for pair, certs in CASES.items()
-}
+SearchParams = RateQuery  # a search point is a rate query: it carries its constraint_names
 
 SOUNDNESS_SLACK = 1e-6
 DUALITY_GAP_TOL = 1e-8
 FEASIBILITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SearchParams:
-    """A search point: (L, mu, gamma) as in `check_parameters`, mu <= L."""
-
-    fn_class: str
-    ineq: str
-    L: float
-    mu: float
-    gamma: float
-
-    def __post_init__(self):
-        if (self.fn_class, self.ineq) not in CONSTRAINT_SETS:
-            raise DomainError(f"unknown class/inequality pair ({self.fn_class!r}, {self.ineq!r})")
-        check_parameters(self.L, self.mu, self.gamma)
-        check_modulus(self.L, self.mu)
-
-    @property
-    def constraint_names(self):
-        return CONSTRAINT_SETS[(self.fn_class, self.ineq)]
 
 
 @dataclass

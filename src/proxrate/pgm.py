@@ -30,8 +30,10 @@ _EPS = float(np.finfo(float).eps)
 # factor whose gaps clear the floor by at most k/(K - k) relative
 CONTRACTION_SIGNIFICANCE = 1e4
 
-# residual-norm tolerance of the reference run behind estimate_fstar
+# residual-norm tolerance and least step budget of the reference run
+# behind estimate_fstar
 FSTAR_STOP_TOL = 1e-13
+REFERENCE_BUDGET = 200_000
 
 # a run stops at an iterate equal, bit for bit, to one of this many
 # iterates before it; floating-point orbits of period up to 42 were seen
@@ -121,18 +123,15 @@ class Trace:
         Gap and contraction columns are left blank when fstar is unknown,
         and a contraction cell also unless both its gaps clear the floor.
         """
-        from .tableio import format_float, write_csv
+        from .tableio import write_csv
 
-        rows = [
-            [i + 1, format_float(F), "", format_float(r), ""]
-            for i, (F, r) in enumerate(zip(self.F_vals, self.residual_norms))
-        ]
+        rows = [[i + 1, F, None, r, None] for i, (F, r) in enumerate(zip(self.F_vals, self.residual_norms))]
         if fstar is not None:
             gaps, significant = self._significant_gaps(fstar)
             for row, gap in zip(rows, gaps):
-                row[2] = format_float(gap)
+                row[2] = gap
             for i, factor in zip(np.flatnonzero(significant) + 1, self.contraction_factors(fstar)):
-                rows[i][4] = format_float(factor)
+                rows[i][4] = factor
         write_csv(path, ["iter", "F", "gap", "residual_norm", "contraction"], rows)
 
 
@@ -171,7 +170,10 @@ def _evaluate(problem: CompositeProblem, gamma: float, x: np.ndarray, index: int
 
 
 def residual(problem: CompositeProblem, gamma: float, x) -> tuple[np.ndarray, float]:
-    """Prox-gradient residual G_gamma(x) and its Euclidean norm."""
+    """Prox-gradient residual G_gamma(x) and its Euclidean norm.
+
+    G_gamma is defined for every gamma > 0, so gamma is not bounded by 2/L
+    here; only a run's step (`PgmConfig`) must lie in (0, 2/L)."""
     if not gamma > 0:
         raise DomainError("gamma must be positive")
     x = np.asarray(x, dtype=float)
@@ -265,7 +267,7 @@ class FstarEstimate(NamedTuple):
     iterations: int
 
 
-def estimate_fstar(problem: CompositeProblem, x1, max_iters: int = 200_000) -> FstarEstimate:
+def estimate_fstar(problem: CompositeProblem, x1, max_iters: int = REFERENCE_BUDGET) -> FstarEstimate:
     """Surrogate optimal value from a long run with step 1/L, stopped at
     FSTAR_STOP_TOL on the residual norm or at a floating-point cycle.
 

@@ -10,43 +10,22 @@ interval holds gamma; at a shared endpoint both formulas agree
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple, Optional, Sequence
 
-from .certificate import certificate_catalog
+from .certificate import CONSTRAINT_NAMES, certificate_catalog
 from .errors import DomainError, check_modulus, check_parameters
-
-CONVEX = "convex"
-NONCONVEX = "nonconvex"
-PL = "pl"
-RPL = "rpl"
 
 # (fn_class, ineq) -> its theorem-case certificates, in step order
 CASES = {}
 for _cert in certificate_catalog():
     CASES.setdefault((_cert.fn_class, _cert.ineq), []).append(_cert)
 
-
-@dataclass(frozen=True)
-class RateQuery:
-    """Keyed lookup (function class, inequality, L, mu, gamma)."""
-
-    fn_class: str
-    ineq: str
-    L: float
-    mu: float
-    gamma: float
-
-    def validate(self):
-        _cases(self.fn_class, self.ineq)
-        check_parameters(self.L, self.mu, self.gamma)
-        check_modulus(self.L, self.mu)
-
-
-@dataclass(frozen=True)
-class RateResult:
-    rho: float
-    branch: str
+# per pair, the constraints its certificates use, in CONSTRAINT_NAMES order
+CONSTRAINT_SETS = {
+    pair: tuple(n for n in CONSTRAINT_NAMES if any(n == cname for cert in certs for cname, _, _ in cert.multipliers))
+    for pair, certs in CASES.items()
+}
 
 
 def _cases(fn_class, ineq):
@@ -54,6 +33,34 @@ def _cases(fn_class, ineq):
         return CASES[(fn_class, ineq)]
     except KeyError:
         raise DomainError(f"unknown (fn_class, ineq) = ({fn_class!r}, {ineq!r})") from None
+
+
+@dataclass(frozen=True)
+class RateQuery:
+    """A point (function class, inequality, L, mu, gamma), checked on
+    construction: a known pair, (L, mu, gamma) in `check_parameters`'
+    domain and mu <= L."""
+
+    fn_class: str
+    ineq: str
+    L: float
+    mu: float
+    gamma: float
+
+    def __post_init__(self):
+        _cases(self.fn_class, self.ineq)
+        check_parameters(self.L, self.mu, self.gamma)
+        check_modulus(self.L, self.mu)
+
+    @property
+    def constraint_names(self):
+        return CONSTRAINT_SETS[(self.fn_class, self.ineq)]
+
+
+@dataclass(frozen=True)
+class RateResult:
+    rho: float
+    branch: str
 
 
 def rate_formula(fn_class, ineq, L, mu, gamma) -> RateResult:
@@ -64,16 +71,19 @@ def rate_formula(fn_class, ineq, L, mu, gamma) -> RateResult:
     rate denominator is positive; every pair's last case ends at 2/L.
     """
     check_parameters(L, mu, gamma)
-    for cert in _cases(fn_class, ineq):
-        _lo, hi, _lo_closed, hi_closed = cert.interval
-        if gamma <= hi / L if hi_closed else gamma < hi / L:
+    return _first_case_rate(_cases(fn_class, ineq), L, mu, gamma)
+
+
+def _first_case_rate(cases, L, mu, gamma) -> RateResult:
+    for cert in cases:
+        if cert.contains(L, gamma):
             return RateResult(cert.rate(L, mu, gamma), cert.case_id)
 
 
 def rate(query: RateQuery) -> RateResult:
-    """Worst-case one-step contraction factor for a validated query."""
-    query.validate()
-    return rate_formula(query.fn_class, query.ineq, query.L, query.mu, query.gamma)
+    """Worst-case one-step contraction factor of a query, which was
+    checked on construction."""
+    return _first_case_rate(CASES[(query.fn_class, query.ineq)], query.L, query.mu, query.gamma)
 
 
 class OptimalStep(NamedTuple):
@@ -89,24 +99,28 @@ def rpl_convex_interior_step(L, mu):
     return 2.0 / (math.sqrt(L) * (math.sqrt(L) + math.sqrt(mu)))
 
 
+def _rpl_convex_step(L, mu):
+    if not mu < L:
+        raise DomainError("convex-rpl optimal step requires mu < L")
+    if mu <= L / 9.0:
+        return 1.5 / L, "Prop4.2-small-mu"
+    return rpl_convex_interior_step(L, mu), "Prop4.2-large-mu"
+
+
+# (fn_class, ineq) -> rule (L, mu) -> (rate-minimizing gamma, proposition)
+STEP_RULES = {
+    ("nonconvex", "pl"): lambda L, mu: (math.sqrt(3.0) / L, "Prop3.1"),
+    ("convex", "pl"): lambda L, mu: (1.5 / L, "Prop3.2"),
+    ("nonconvex", "rpl"): lambda L, mu: (1.0 / L, "Prop4.1"),
+    ("convex", "rpl"): _rpl_convex_step,
+}
+
+
 def optimal_step(fn_class, ineq, L, mu) -> OptimalStep:
     """Step size minimizing the worst-case rate over (0, 2/L), for mu <= L."""
     check_parameters(L, mu)
-    if fn_class == NONCONVEX and ineq == PL:
-        g, branch = math.sqrt(3.0) / L, "Prop3.1"
-    elif fn_class == CONVEX and ineq == PL:
-        g, branch = 1.5 / L, "Prop3.2"
-    elif fn_class == NONCONVEX and ineq == RPL:
-        g, branch = 1.0 / L, "Prop4.1"
-    elif fn_class == CONVEX and ineq == RPL:
-        if not mu < L:
-            raise DomainError("convex-rpl optimal step requires mu < L")
-        if mu <= L / 9.0:
-            g, branch = 1.5 / L, "Prop4.2-small-mu"
-        else:
-            g, branch = rpl_convex_interior_step(L, mu), "Prop4.2-large-mu"
-    else:
-        raise DomainError(f"unknown (fn_class, ineq) = ({fn_class!r}, {ineq!r})")
+    _cases(fn_class, ineq)
+    g, branch = STEP_RULES[(fn_class, ineq)](L, mu)
     return OptimalStep(g, rate(RateQuery(fn_class, ineq, L, mu, g)).rho, branch)
 
 
@@ -148,25 +162,18 @@ def rate_curve(fn_class, ineq, L, mu, gamma_grid: Sequence[float]) -> list[RateC
     stay empty.
     """
     rows = []
-    for g in gamma_grid:
-        res = rate(RateQuery(fn_class, ineq, L, mu, float(g)))
+    for g in map(float, gamma_grid):
+        res = rate(RateQuery(fn_class, ineq, L, mu, g))
         bg = bz = None
-        if fn_class == CONVEX and ineq == PL:
-            bg = baseline_garrigos(L, mu, float(g))
-        if fn_class == CONVEX and ineq == RPL and g <= 1.0 / L:
-            bz = baseline_zhang(mu, float(g), L)
-        rows.append(RateCurveRow(float(g), res.rho, res.branch, bg, bz))
+        if fn_class == "convex" and ineq == "pl":
+            bg = baseline_garrigos(L, mu, g)
+        if fn_class == "convex" and ineq == "rpl" and g <= 1.0 / L:
+            bz = baseline_zhang(mu, g, L)
+        rows.append(RateCurveRow(g, res.rho, res.branch, bg, bz))
     return rows
 
 
 def write_rate_curve_csv(path, rows: Sequence[RateCurveRow]):
-    from .tableio import format_float, write_csv
+    from .tableio import write_csv
 
-    def cell(v):
-        return "" if v is None else format_float(v)
-
-    write_csv(
-        path,
-        ["gamma", "rate", "branch", "baseline_garrigos", "baseline_zhang"],
-        [[format_float(r.gamma), format_float(r.rate), r.branch, cell(r.baseline_garrigos), cell(r.baseline_zhang)] for r in rows],
-    )
+    write_csv(path, [f.name for f in fields(RateCurveRow)], [astuple(r) for r in rows])

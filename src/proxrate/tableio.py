@@ -12,7 +12,8 @@ def format_float(x) -> str:
 
 
 def write_csv(path, header, rows):
-    """Write a header plus rows; cells may be str, int, or float."""
+    """Write a header plus rows; cells may be str, int, float, or None
+    (an empty cell)."""
     path = os.fspath(path)
     parent = os.path.dirname(path)
     if parent:
@@ -21,6 +22,4 @@ def write_csv(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [format_float(v) if isinstance(v, float) else str(v) for v in row]
-            )
+            writer.writerow([format_float(v) if isinstance(v, float) else v for v in row])

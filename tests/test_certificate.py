@@ -23,7 +23,7 @@ from proxrate.interp import (
 from proxrate.pepsearch import SearchParams, search_worst_case
 from proxrate.pgm import PgmConfig, estimate_fstar, run_pgm
 from proxrate.problem import generate_instance
-from proxrate.rates import rate_formula
+from proxrate.rates import CASES, rate_formula
 
 
 def gauged(g1, g2, s2, f1, f2, h1, h2, fstar):
@@ -272,12 +272,13 @@ class TestVerification:
                 assert chk.remainder_coefficient <= 0, cert.case_id
 
     def test_exact_mode_decides_the_remainder_sign_exactly(self):
-        # one ulp past the closed endpoint 1.5/L the coefficient
-        # (2L*gamma - 3)/... is positive; only float tolerances accept it
+        # fl(1.5/1.1) passes the float test gamma <= 1.5/L, but its exact
+        # t = L*gamma lies past 1.5, where the coefficient (2t - 3)/... is
+        # positive; only float tolerances accept it
         cert = cm.certificate_for("Thm3.2-case1")
-        g = float(np.nextafter(1.5, 2.0))
-        assert cm.verify_certificate(cert, 1.0, 0.1, g).ok
-        chk = cm.verify_certificate(cert, 1.0, 0.1, g, exact=True)
+        L, g = 1.1, 1.5 / 1.1
+        assert cm.verify_certificate(cert, L, 0.1, g).ok
+        chk = cm.verify_certificate(cert, L, 0.1, g, exact=True)
         assert chk.remainder_coefficient > 0
         assert any("remainder coefficient positive" in f for f in chk.failures)
         assert chk.remainder_max_eigenvalue > 0
@@ -315,6 +316,19 @@ class TestVerification:
         assert not chk_exact.ok
         assert chk_exact.identity_residual > 0
         assert any("identity residual" in f for f in chk_exact.failures)
+
+    @pytest.mark.parametrize("L", [1.0, 3.7, 0.013])
+    def test_rate_formula_branch_verifies_at_its_boundaries(self, L):
+        # rate_formula and verify_certificate decide membership by one rule:
+        # the case a gamma one ulp either side of a join, or one ulp below
+        # 2/L, is assigned to is a case it verifies in
+        mu = L / 10
+        for (fn_class, ineq), certs in CASES.items():
+            joins = [cert.interval[1] / L for cert in certs[:-1]]
+            probes = [np.nextafter(j, side) for j in joins for side in (0.0, math.inf)]
+            for g in map(float, probes + [np.nextafter(2.0 / L, 0.0)]):
+                branch = rate_formula(fn_class, ineq, L, mu, g).branch
+                assert cm.verify_certificate(cm.certificate_for(branch), L, mu, g).ok, (branch, g)
 
     def test_gamma_outside_interval_rejected(self):
         cert = cm.certificate_for("Thm3.2-case1")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import proxrate.experiments as experiments
+from proxrate import rates
 from proxrate.errors import DomainError
 from proxrate.experiments import (
     DEFAULT_POLICIES,
@@ -38,6 +39,13 @@ class TestPolicyParsing:
         gamma, branch = parse_policy("optimal").resolve("elastic_net", 1.0, 0.25)
         assert gamma == pytest.approx(4.0 / 3.0, abs=1e-15)
         assert branch == "Prop4.2-large-mu"
+
+    @pytest.mark.parametrize("L, mu", [(1.0, 0.25), (3.7, 0.2), (0.013, 0.0013)])
+    def test_optimal_is_the_pairs_step_rule(self, L, mu):
+        pairs = {"srlr": ("nonconvex", "pl"), "lasso": ("convex", "pl"), "elastic_net": ("convex", "rpl")}
+        for kind, (fn_class, ineq) in pairs.items():
+            step = rates.optimal_step(fn_class, ineq, L, mu)
+            assert parse_policy("optimal").resolve(kind, L, mu) == (step.gamma_star, step.branch)
 
     def test_optimal_elastic_net_needs_mu(self):
         with pytest.raises(DomainError):
