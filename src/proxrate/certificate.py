@@ -24,8 +24,13 @@ per certificate: its combination and remainder are evaluated on the
 symbols t and q, and each entry of their difference must have a zero
 numerator. This assumes a formula computes the same rational function on
 symbols as on Fractions: one that branches on its argument's type is
-proved on the branch symbols take. Exact mode decides every sign on the
-formulas' Fraction values at each point, and the identity by the proof.
+proved on the branch symbols take. The formulas run on symbols once per
+certificate, a pass the proof and exact mode share: exact mode decides
+the identity by the proof, and at each point of a proved certificate it
+evaluates the formulas' integer num/den polynomials at t = a/A and
+q = c/C, so every sign is an integer sign test. An unproved certificate,
+or a point at a formula's pole, is decided on the formulas' Fraction
+values.
 
 Everything else reads per-constraint coefficient tables, not the Gram
 algebra. At L = 1 every operand is affine in t (x2 = -t*(g1 + s2)), each
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -667,26 +673,108 @@ def _rational(value) -> Optional[Fraction]:
 
 
 @functools.cache
+def _symbolic(cert: Certificate) -> Optional[tuple]:
+    """The certificate's formulas evaluated once on the symbols t and q,
+    as _RationalFunctions: (multipliers at L = 1, rate, remainder
+    coefficient, {symbol name: remainder weight}), a zero coefficient and
+    no weights without a remainder. None when a formula cannot run on
+    symbols (math.sqrt, a comparison) or gives a non-number."""
+    try:
+        values = [_lift(formula(1, _Q, _T)) for _cname, _label, formula in cert.multipliers]
+        rho, coeff, weights = _lift(cert.rate(1, _Q, _T)), _lift(0), {}
+        if cert.remainder_coeff is not None:
+            coeff = _lift(cert.remainder_coeff(_T, _Q))
+            weights = {name: _lift(w) for name, w in cert.remainder_weights(_T, _Q).items()}
+    except (TypeError, ValueError, ArithmeticError):
+        return None
+    return None if None in (*values, rho, coeff, *weights.values()) else (values, rho, coeff, weights)
+
+
+@functools.cache
 def _proved(cert: Certificate) -> bool:
     """Whether the certificate's identity holds for every (t, q): its own
-    combination minus its remainder, evaluated once on the symbols t and
-    q, has a zero numerator in each of the nine entries. A formula that
-    cannot run on symbols (math.sqrt, a comparison) is not proved."""
+    combination minus its remainder, built from its formulas on symbols
+    (`_symbolic`), has a zero numerator in each of the nine entries. A
+    formula that cannot run on symbols is not proved."""
+    formulas = _symbolic(cert)
+    if formulas is None:
+        return False
+    values, rho, coeff, weights = formulas
     try:
-        diff = cert.weighted_combination(_T, _Q).a - cert.remainder_expression(_T, _Q).a
+        diff = cert.weighted_combination(_T, _Q, values, rho).a - cert.remainder_expression(_T, _Q, coeff, weights).a
     except (TypeError, ValueError, ArithmeticError):
         return False
     return not any(_lift(x).num for x in diff)
 
 
+@functools.cache
+def _integer_forms(cert: Certificate) -> Optional[tuple]:
+    """A proved certificate's formulas (`_symbolic`) as integer num/den
+    polynomials, None for an unproved one: (dt, dq, rows, then (num, den)
+    row indices per multiplier, for the rate, the remainder coefficient
+    and its trace coeff*||w||^2). Each num and den is scaled to integer
+    coefficients and lifted to the largest degrees dt in t and dq in q,
+    and the distinct ones are the rows: row[i*(dq + 1) + j] multiplies
+    t^i q^j. So at t = a/A and q = c/C a row's dot product with the
+    monomials a^i A^(dt-i) c^j C^(dq-j) is its value times A^dt C^dq > 0,
+    one factor that every ratio cancels and no sign sees."""
+    if not _proved(cert):
+        return None
+    values, rho, coeff, weights = _symbolic(cert)
+    pairs = []
+    for x in (*values, rho, coeff, coeff * sum(w * w for w in weights.values())):
+        scale = math.lcm(*(Fraction(c).denominator for p in (x.num, x.den) for c in p.values()))
+        pairs.append([{m: int(c * scale) for m, c in p.items()} for p in (x.num, x.den)])
+    dt, dq = (max(m[k] for pair in pairs for p in pair for m in p) for k in (0, 1))
+    rows = {}  # row -> its index, in first-seen order
+    index = [
+        tuple(rows.setdefault(tuple(p.get((i, j), 0) for i in range(dt + 1) for j in range(dq + 1)), len(rows)) for p in pair)
+        for pair in pairs
+    ]
+    return (dt, dq, tuple(rows), index[: len(values)], *index[len(values) :])
+
+
+def _decide_integer(forms: tuple, q: Fraction, t: Fraction) -> Optional[tuple]:
+    """`_decide_exact` at one point from a proved certificate's integer
+    forms: each sign is an integer sign test, each float one correctly
+    rounded int division (the bits of float(Fraction)), and the remainder
+    coefficient the one Fraction built. None at a pole of a formula."""
+    dt, dq, rows, multipliers, rate, (cn, cd), (tn, td) = forms
+    a, A, c, C = t.numerator, t.denominator, q.numerator, q.denominator
+    tp = [a**i * A ** (dt - i) for i in range(dt + 1)]
+    qp = [c**j * C ** (dq - j) for j in range(dq + 1)]
+    monomials = [x * y for x in tp for y in qp]
+    v = [sum(map(operator.mul, row, monomials)) for row in rows]
+    if not all(v[d] for _n, d in multipliers) or not (v[rate[1]] and v[cd] and v[td]):
+        return None
+
+    def ratio(n, d):  # the rational's float; a zero is +0.0, as float(Fraction(0))
+        return v[n] / v[d] if v[n] else 0.0
+
+    floats = [ratio(n, d) for n, d in multipliers]
+    mult_bad = any(v[n] * v[d] < 0 for n, d in multipliers)
+    return floats, mult_bad, 0.0, False, Fraction(v[cn], v[cd]), v[cn] * v[cd] > 0, ratio(tn, td), v[tn] * v[td] > 0
+
+
 def _decide_exact(cert: Certificate, q: Fraction, t: Fraction) -> tuple:
-    """One point of an exact check, at (1, q, t): each sign is decided on
-    the formulas' Fraction values, and the identity holds iff the
-    certificate is proved (`_proved`) and those values are rational; a NaN
-    or infinite value fails each check that reads it. Returns the
-    multipliers as floats, then each check's reported value and whether
-    it fails: (floats, multiplier fails, residual, identity fails,
-    remainder coefficient, coefficient fails, trace, trace fails)."""
+    """One point of an exact check, at (1, q, t). Returns the multipliers
+    as floats, then each check's reported value and whether it fails:
+    (floats, multiplier fails, residual, identity fails, remainder
+    coefficient, coefficient fails, trace, trace fails). A proved
+    certificate (`_proved`) is decided on its formulas' integer forms
+    (`_decide_integer`); an unproved one, or a point at a pole, on the
+    formulas' Fraction values (`_decide_fraction`)."""
+    forms = _integer_forms(cert)
+    decided = None if forms is None else _decide_integer(forms, q, t)
+    return _decide_fraction(cert, q, t) if decided is None else decided
+
+
+def _decide_fraction(cert: Certificate, q: Fraction, t: Fraction) -> tuple:
+    """`_decide_exact` on the formulas' Fraction values at the point: each
+    sign is decided on them, and the identity holds iff the certificate
+    is proved and those values are rational, else the point's exact
+    residual is reported as a float; a NaN or infinite value fails each
+    check that reads it."""
     raw = [formula(1, q, t) for _cname, _label, formula in cert.multipliers]
     m = [_rational(v) for v in raw]
     rho = _rational(cert.rate(1, q, t))
@@ -718,10 +806,12 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
     tol and remainder eigenvalue <= tol. Float mode converts the
     parameters to floats once and checks a grid in arrays, with the module
     constants as tol. Exact mode converts them to Fractions (binary floats
-    are exact rationals) and checks one point at a time with tol = 0: the
-    signs are decided on the formulas' Fraction values and the identity
-    once for every (t, q) on symbols (`_decide_exact`), a failing one
-    reporting the float of the point's exact residual. Each failure names
+    are exact rationals) and checks one point at a time with tol = 0
+    (`_decide_exact`): the identity is decided once for every (t, q) on
+    symbols, and the signs and reported values of a proved certificate
+    come from its formulas' integer forms at the point. An unproved
+    certificate is decided on the formulas' Fraction values and reports
+    the float of the point's exact residual. Each failure names
     the first failing gamma. Interval membership is `Certificate.contains`,
     the rule `rates.rate_formula` picks its case by, so every gamma that
     `rate_formula` assigns to a case verifies against it. A point inside

@@ -40,6 +40,10 @@ REFERENCE_BUDGET = 200_000
 # on srlr at 0.5/L, and the bound keeps the memory of a run at O(64*d)
 CYCLE_WINDOW = 64
 
+# numpy's warnings that a step's arithmetic may raise on its way to a
+# non-finite value, which `_evaluate` then names; a run enters this once
+_QUIET = {"invalid": "ignore", "over": "ignore"}
+
 
 def significance_floor(fstar: float) -> float:
     """Gaps F - fstar at or below this are rounding, not signal."""
@@ -145,8 +149,9 @@ class _Eval(NamedTuple):
 
 
 def _evaluate(problem: CompositeProblem, gamma: float, x: np.ndarray, index: int) -> _Eval:
-    """One step from x. Call it with numpy's invalid-value warnings off:
-    a NaN or inf in g or y reaches rnorm, sometimes through inf - inf."""
+    """One step from x. Call it under np.errstate(**_QUIET): an overflow
+    makes an inf, and a NaN or inf in g or y reaches rnorm, sometimes
+    through inf - inf, where the checks below name it."""
     fval, g = problem.f.value_and_gradient(x)
     hval = float(problem.h.value(x))
     u = x - gamma * g
@@ -173,13 +178,14 @@ def residual(problem: CompositeProblem, gamma: float, x) -> tuple[np.ndarray, fl
     """Prox-gradient residual G_gamma(x) and its Euclidean norm.
 
     G_gamma is defined for every gamma > 0, so gamma is not bounded by 2/L
-    here; only a run's step (`PgmConfig`) must lie in (0, 2/L)."""
-    if not gamma > 0:
-        raise DomainError("gamma must be positive")
+    here; it must be positive and finite, and only a run's step
+    (`PgmConfig`) must lie in (0, 2/L)."""
+    if not 0 < gamma < math.inf:
+        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("non-finite point passed to residual")
-    with np.errstate(invalid="ignore"):
+    with np.errstate(**_QUIET):
         ev = _evaluate(problem, gamma, x, 0)
     return ev.residual, ev.rnorm
 
@@ -192,8 +198,8 @@ def _iterates(problem: CompositeProblem, gamma: float, x1, max_iters: int, stop_
     floor of `reference` (when one is given), whose residual norm is at
     most stop_tol, or that equals one of the CYCLE_WINDOW points before it
     (the map is deterministic, so every later row would repeat an
-    earlier one), or at x_{max_iters+1}. Consume it with numpy's
-    invalid-value warnings off (see `_evaluate`).
+    earlier one), or at x_{max_iters+1}. Consume it under
+    np.errstate(**_QUIET) (see `_evaluate`).
     """
     x = np.array(x1, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -233,7 +239,7 @@ def run_pgm(problem: CompositeProblem, config: PgmConfig, x1) -> Trace:
     config.validate(problem.f.lipschitz)
     gamma = config.step
     rows = []
-    with np.errstate(invalid="ignore"):
+    with np.errstate(**_QUIET):
         for x, ev, stopped_on in _iterates(problem, gamma, x1, config.max_iters, config.stop_tol, config.reference):
             rows.append((x, ev.g, ev.s_next, ev.F, ev.rnorm))
     points, grads, subs, F_vals, res_norms = (np.array(col) for col in zip(*rows))
@@ -277,7 +283,7 @@ def estimate_fstar(problem: CompositeProblem, x1, max_iters: int = REFERENCE_BUD
     config = PgmConfig(1.0 / problem.f.lipschitz, max_iters, FSTAR_STOP_TOL)
     config.validate(problem.f.lipschitz)
     best = np.inf
-    with np.errstate(invalid="ignore"):
+    with np.errstate(**_QUIET):
         for steps, (_, ev, stop) in enumerate(_iterates(problem, config.step, x1, max_iters, FSTAR_STOP_TOL)):
             best = min(best, ev.F)
     return FstarEstimate(best, stale=stop == "max_iters", iterations=steps)

@@ -568,7 +568,8 @@ class TestCoefficientTables:
     def test_tables_are_built_on_first_use(self):
         code = (
             "from proxrate import certificate as cm\n"
-            "def counts(): return cm._table.cache_info().currsize, cm._proved.cache_info().misses\n"
+            "def counts(): return (cm._table.cache_info().currsize, cm._proved.cache_info().misses,\n"
+            "    cm._symbolic.cache_info().currsize, cm._integer_forms.cache_info().currsize)\n"
             "print(*counts())\n"
             "cm.sweep_verify('Thm4.1', 1.0, 0.1, [1.0]); print(*counts())\n"
             "cm.verify_certificate(cm.certificate_for('Thm4.1'), 1.0, 0.1, 1.0, exact=True); print(*counts())\n"
@@ -578,8 +579,10 @@ class TestCoefficientTables:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         # nothing at import; a float sweep builds Thm4.1's three float tables
         # and the exact ones they come from, and proves nothing; the first
-        # exact check proves Thm4.1 on those exact tables, the second reuses it
-        assert out.stdout.splitlines() == ["0 0", "6 0", "6 1", "6 1"]
+        # exact check runs Thm4.1's formulas on symbols once, proves it on
+        # those exact tables and builds its integer forms, and the second
+        # reuses all three
+        assert out.stdout.splitlines() == ["0 0 0 0", "6 0 0 0", "6 1 1 1", "6 1 1 1"]
 
 
 def scaled(f, factor=Fraction(1001, 1000)):
@@ -661,6 +664,54 @@ class TestProofs:
                 t**exponent
         with pytest.raises(TypeError):
             math.sqrt(t)
+
+
+def rational_points(gen, lo, hi, n):
+    """n seeded random rationals strictly between lo and hi."""
+    return [lo + (hi - lo) * Fraction(int(gen.integers(1, 10**9)), 10**9) for _ in range(n)]
+
+
+class TestIntegerForms:
+    def test_integer_decisions_equal_fraction_decisions(self):
+        # a proved certificate's points are decided on integers; the
+        # per-point Fraction path is the reference, value for value and
+        # type for type, inside each interval and on both sides of each
+        # endpoint, sqrt(3) among them
+        gen = np.random.default_rng(29)
+        qs = rational_points(gen, Fraction(0), Fraction(1), 4) + [Fraction(1), Fraction(0.1), Fraction(5e-324)]
+        for cert in cm.certificate_catalog():
+            forms = cm._integer_forms(cert)
+            assert forms is not None, cert.case_id
+            lo, hi = cert.interval[:2]
+            ts = rational_points(gen, Fraction(lo), Fraction(hi), 12)
+            for edge in (lo, hi):  # sqrt(3), each closed endpoint, and the rest
+                x, y = Fraction(edge), Fraction(1, 10**12)
+                ts += [x, Fraction(np.nextafter(edge, 0.0)), Fraction(np.nextafter(edge, 3.0)), x - y, x + y]
+            for t in ts:
+                for q in qs:
+                    want = cm._decide_fraction(cert, q, t)
+                    got = cm._decide_integer(forms, q, t)
+                    assert got == want, (cert.case_id, t, q)
+                    assert repr(got) == repr(want)  # the sign of a zero too
+                    assert [type(x) for x in got] == [type(x) for x in want] and type(got[4]) is Fraction
+                    assert [type(x) for x in got[0]] == [float] * len(cert.multipliers)
+                    assert cm._decide_exact(cert, q, t) == want
+
+    def test_a_pole_is_decided_on_fractions(self):
+        # Thm4.2-case2's denominator -t + t*q + 2 vanishes at (t, q) = (4, 1/2),
+        # outside its interval: the integer forms decline the point, and the
+        # Fraction path raises there as it always has
+        cert = cm.certificate_for("Thm4.2-case2")
+        q, t = Fraction(1, 2), Fraction(4)
+        assert cm._decide_integer(cm._integer_forms(cert), q, t) is None
+        with pytest.raises(ZeroDivisionError):
+            cm._decide_exact(cert, q, t)
+
+    def test_an_unproved_certificate_has_no_integer_forms(self):
+        cert = cm.certificate_for("Thm3.2-case1")
+        bad = dataclasses.replace(cert, rate=scaled(cert.rate))
+        assert cm._integer_forms(bad) is None
+        assert cm._decide_exact(bad, Fraction(1, 10), Fraction(9, 10)) == cm._decide_fraction(bad, Fraction(1, 10), Fraction(9, 10))
 
 
 class TestExactVanishing:

@@ -115,6 +115,13 @@ class TestResidual:
         with pytest.raises(DomainError):
             residual(quadratic_problem(), 0.0, np.array([1.0]))
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_rejects_a_non_finite_gamma(self, gamma):
+        # G_gamma needs a finite gamma; an infinite one is a domain error,
+        # not a non-finite prox output
+        with pytest.raises(DomainError, match="gamma must be positive and finite"):
+            residual(quadratic_problem(), gamma, np.array([1.0]))
+
 
 class TestEstimateFstar:
     def test_pure_quadratic(self):
@@ -332,13 +339,27 @@ class TestNonFinite:
 
     def test_overflowing_residual_norm_alone_proceeds(self):
         # finite values, gradient and prox output whose residual's squares
-        # overflow: the run goes on, and the norm is rescaled to stay finite
+        # overflow: the run goes on without a warning, and the norm is
+        # rescaled to stay finite
         problem = broken_problem(value=0.0, gradient=1e200)
-        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
-            trace = run_pgm(problem, PgmConfig(step=1.0, max_iters=3, stop_tol=0.0), np.zeros(2))
+        trace = run_pgm(problem, PgmConfig(step=1.0, max_iters=3, stop_tol=0.0), np.zeros(2))
         assert trace.stopped_on == "max_iters"
         assert np.allclose(trace.residual_norms, np.sqrt(2) * 1e200, rtol=1e-15, atol=0)
         assert np.all(np.isfinite(trace.points))
+
+    @pytest.mark.parametrize("kind", ["srlr", "lasso"])
+    def test_overflow_is_a_non_finite_error(self, kind):
+        # an overflow in the oracles or the step is named as the inf it
+        # makes, not raised as numpy's RuntimeWarning (pytest turns
+        # warnings into errors)
+        problem = generate_instance(kind, 30, 5, 0.1, seed=3).problem()
+        x1 = 1e200 * np.ones(5)
+        with pytest.raises(NonFiniteError, match="non-finite f value/gradient at iteration 1"):
+            run_pgm(problem, PgmConfig(step=1.0 / problem.f.lipschitz, max_iters=5), x1)
+        with pytest.raises(NonFiniteError, match="non-finite f value/gradient at iteration 1"):
+            estimate_fstar(problem, x1, max_iters=5)
+        with pytest.raises(NonFiniteError, match="non-finite prox output"):
+            residual(problem, 1e308, np.ones(5))
 
 
 class TestTraceExport:
