@@ -24,13 +24,16 @@ per certificate: its combination and remainder are evaluated on the
 symbols t and q, and each entry of their difference must have a zero
 numerator. This assumes a formula computes the same rational function on
 symbols as on Fractions: one that branches on its argument's type is
-proved on the branch symbols take. The formulas run on symbols once per
-certificate, a pass the proof and exact mode share: exact mode decides
-the identity by the proof, and at each point of a proved certificate it
-evaluates the formulas' integer num/den polynomials at t = a/A and
-q = c/C, so every sign is an integer sign test. An unproved certificate,
-or a point at a formula's pole, is decided on the formulas' Fraction
-values.
+proved on the branch symbols take. Each certificate is analysed once, in
+one cached pass (`_integer_forms`): its formulas run on symbols, the
+identity is proved from them, and a proved certificate keeps them as
+integer num/den polynomials. Exact mode decides the identity by the
+proof, and at each point of a proved certificate it evaluates those
+polynomials at t = a/A and q = c/C, so every sign is an integer sign
+test; an unproved certificate is decided on the formulas' Fraction
+values. On both paths a point at a formula's pole raises
+ZeroDivisionError. Every certificate has a remainder square;
+Thm4.2-case2's is empty, a zero coefficient on no weights.
 
 Everything else reads per-constraint coefficient tables, not the Gram
 algebra. At L = 1 every operand is affine in t (x2 = -t*(g1 + s2)), each
@@ -423,9 +426,9 @@ class Certificate:
     # (constraint name, multiplier label, multiplier formula)
     multipliers: tuple
     rate: Callable
-    # remainder = coeff * ||sum_w w_sym * sym||^2; None means identically zero
-    remainder_coeff: Optional[Callable]
-    remainder_weights: Optional[Callable]
+    # remainder = coeff * ||sum_w w_sym * sym||^2, both formulas in (t, q)
+    remainder_coeff: Callable
+    remainder_weights: Callable
     interval: tuple  # (lo, hi, lo_closed, hi_closed) in t
     check_kind: str  # "equality" | "inequality-chain"
 
@@ -446,11 +449,10 @@ class Certificate:
         remainder_coeff(t, q) and remainder_weights(t, q), when known."""
         exact = _is_exact(t, q)
         entries = [Fraction(0) if exact else 0.0] * _NE
-        if self.remainder_coeff is not None:
-            coeff = self.remainder_coeff(t, q) if coeff is None else coeff
-            weights = self.remainder_weights(t, q) if weights is None else weights
-            for e, wij in _square(weights):
-                entries[e] = coeff * wij
+        coeff = self.remainder_coeff(t, q) if coeff is None else coeff
+        weights = self.remainder_weights(t, q) if weights is None else weights
+        for e, wij in _square(weights):
+            entries[e] = coeff * wij
         return _expression(entries, t, q, exact)
 
     def weighted_combination(self, t, q, values=None, rho=None) -> GramExpression:
@@ -527,109 +529,113 @@ def _large_step(case_id, fn_class, ineq, names, remainder_coeff, lo, check_kind)
     )
 
 
+# the eight theorem-case certificates, in theorem order, each built once
+_CERTIFICATES = (
+    _certificate(
+        case_id="Thm3.1-case1",
+        fn_class="nonconvex",
+        ineq="pl",
+        multipliers=(
+            ("A12", "alpha1", lambda t, q: (t**2 + 3 * t + 2) / _den31_1(t, q)),
+            ("A21", "alpha2", lambda t, q: (t + 1) / _den31_1(t, q)),
+            ("C12", "beta1", lambda t, q: (t + 1) ** 2 / _den31_1(t, q)),
+            ("D2", "lambda1", lambda t, q: (t**2 * q + 2 * t * q) / _den31_1(t, q)),
+        ),
+        rho=lambda t, q: (t + 1) ** 2 / _den31_1(t, q),
+        remainder_coeff=lambda t, q: (t**2 - 3) / (4 * _den31_1(t, q)),
+        remainder_weights=lambda t, q: {"g1": t + 1, "s2": t, "g2": -1},
+        interval=(0.0, _SQRT3, False, True),
+        check_kind="equality",
+    ),
+    _large_step(
+        "Thm3.1-case2", "nonconvex", "pl", ("A12", "A21", "C12", "D2"),
+        lambda t, q: (3 - t**2) / (4 * _den_large(t, q)),
+        _SQRT3, "equality",
+    ),
+    _certificate(
+        case_id="Thm3.2-case1",
+        fn_class="convex",
+        ineq="pl",
+        multipliers=(
+            ("B12", "alpha1", lambda t, q: 2 / (2 * t * q + 1)),
+            ("B21", "alpha2", lambda t, q: 1 / (2 * t * q + 1)),
+            ("C12", "beta1", lambda t, q: 1 / (2 * t * q + 1)),
+            ("D2", "lambda1", lambda t, q: 2 * t * q / (2 * t * q + 1)),
+        ),
+        rho=lambda t, q: 1 / (2 * t * q + 1),
+        remainder_coeff=lambda t, q: (2 * t - 3) / (2 * (2 * t * q + 1)),
+        remainder_weights=lambda t, q: {"g1": 1, "g2": -1},
+        interval=(0.0, 1.5, False, True),
+        check_kind="equality",
+    ),
+    _large_step(
+        "Thm3.2-case2", "convex", "pl", ("B12", "B21", "C12", "D2"),
+        lambda t, q: (3 - 2 * t) / (2 * _den_large(t, q)),
+        1.5, "equality",
+    ),
+    _certificate(
+        case_id="Thm4.1",
+        fn_class="nonconvex",
+        ineq="rpl",
+        multipliers=(
+            ("A12", "alpha1", lambda t, q: 1),
+            ("C12", "beta1", lambda t, q: 1),
+            ("Eprime1", "lambda1", lambda t, q: q - q * (t - 1) ** 2),
+        ),
+        rho=lambda t, q: 1 + q * (t - 1) ** 2 - q,
+        # 0*t carries t's number type, so exact mode keeps a Fraction
+        remainder_coeff=lambda t, q: (0 * t - 1) / 4,
+        remainder_weights=_large_step_weights,
+        interval=(0.0, 2.0, False, False),
+        check_kind="equality",
+    ),
+    _certificate(
+        case_id="Thm4.2-case1",
+        fn_class="convex",
+        ineq="rpl",
+        multipliers=(
+            ("B12", "alpha1", lambda t, q: 1 / (1 + t * q)),
+            ("C12", "beta1", lambda t, q: 1 / (1 + t * q)),
+            ("E1", "lambda1", lambda t, q: t * q / (1 + t * q)),
+            ("E2", "lambda2", lambda t, q: t * q / (1 + t * q)),
+        ),
+        rho=lambda t, q: (1 - t * q) / (1 + t * q),
+        remainder_coeff=lambda t, q: (t - 1) / (2 * (1 + t * q)),
+        remainder_weights=lambda t, q: {"g1": 1, "g2": -1},
+        interval=(0.0, 1.0, False, True),
+        check_kind="inequality-chain",
+    ),
+    _certificate(
+        case_id="Thm4.2-case2",
+        fn_class="convex",
+        ineq="rpl",
+        multipliers=(
+            ("B12", "alpha1", lambda t, q: 1 / (-t + t * q + 2)),
+            ("B21", "alpha2", lambda t, q: (t - 1) / (-t + t * q + 2)),
+            ("C12", "beta1", lambda t, q: (-t + 2) / (-t + t * q + 2)),
+            ("E1", "lambda1", lambda t, q: t * q * (-2 * t + 3) / (-t + t * q + 2)),
+            ("E2", "lambda2", lambda t, q: t * q / (-t + t * q + 2)),
+        ),
+        rho=lambda t, q: (2 * t**2 * q - t - 3 * t * q + 2) / (-t + t * q + 2),
+        # an empty square; 0*t carries t's number type
+        remainder_coeff=lambda t, q: 0 * t,
+        remainder_weights=lambda t, q: {},
+        interval=(1.0, 1.5, False, True),
+        check_kind="inequality-chain",
+    ),
+    _large_step(
+        "Thm4.2-case3", "convex", "rpl", ("B12", "B21", "C12", "E2"),
+        lambda t, q: (3 - 2 * t) / (2 * _den_large(t, q)),
+        1.5, "inequality-chain",
+    ),
+)
+_CATALOG = {c.case_id: c for c in _CERTIFICATES}
+
+
 def certificate_catalog() -> list[Certificate]:
-    """All eight theorem-case certificates, in theorem order."""
-    return [
-        _certificate(
-            case_id="Thm3.1-case1",
-            fn_class="nonconvex",
-            ineq="pl",
-            multipliers=(
-                ("A12", "alpha1", lambda t, q: (t**2 + 3 * t + 2) / _den31_1(t, q)),
-                ("A21", "alpha2", lambda t, q: (t + 1) / _den31_1(t, q)),
-                ("C12", "beta1", lambda t, q: (t + 1) ** 2 / _den31_1(t, q)),
-                ("D2", "lambda1", lambda t, q: (t**2 * q + 2 * t * q) / _den31_1(t, q)),
-            ),
-            rho=lambda t, q: (t + 1) ** 2 / _den31_1(t, q),
-            remainder_coeff=lambda t, q: (t**2 - 3) / (4 * _den31_1(t, q)),
-            remainder_weights=lambda t, q: {"g1": t + 1, "s2": t, "g2": -1},
-            interval=(0.0, _SQRT3, False, True),
-            check_kind="equality",
-        ),
-        _large_step(
-            "Thm3.1-case2", "nonconvex", "pl", ("A12", "A21", "C12", "D2"),
-            lambda t, q: (3 - t**2) / (4 * _den_large(t, q)),
-            _SQRT3, "equality",
-        ),
-        _certificate(
-            case_id="Thm3.2-case1",
-            fn_class="convex",
-            ineq="pl",
-            multipliers=(
-                ("B12", "alpha1", lambda t, q: 2 / (2 * t * q + 1)),
-                ("B21", "alpha2", lambda t, q: 1 / (2 * t * q + 1)),
-                ("C12", "beta1", lambda t, q: 1 / (2 * t * q + 1)),
-                ("D2", "lambda1", lambda t, q: 2 * t * q / (2 * t * q + 1)),
-            ),
-            rho=lambda t, q: 1 / (2 * t * q + 1),
-            remainder_coeff=lambda t, q: (2 * t - 3) / (2 * (2 * t * q + 1)),
-            remainder_weights=lambda t, q: {"g1": 1, "g2": -1},
-            interval=(0.0, 1.5, False, True),
-            check_kind="equality",
-        ),
-        _large_step(
-            "Thm3.2-case2", "convex", "pl", ("B12", "B21", "C12", "D2"),
-            lambda t, q: (3 - 2 * t) / (2 * _den_large(t, q)),
-            1.5, "equality",
-        ),
-        _certificate(
-            case_id="Thm4.1",
-            fn_class="nonconvex",
-            ineq="rpl",
-            multipliers=(
-                ("A12", "alpha1", lambda t, q: 1),
-                ("C12", "beta1", lambda t, q: 1),
-                ("Eprime1", "lambda1", lambda t, q: q - q * (t - 1) ** 2),
-            ),
-            rho=lambda t, q: 1 + q * (t - 1) ** 2 - q,
-            # 0*t carries t's number type, so exact mode keeps a Fraction
-            remainder_coeff=lambda t, q: (0 * t - 1) / 4,
-            remainder_weights=_large_step_weights,
-            interval=(0.0, 2.0, False, False),
-            check_kind="equality",
-        ),
-        _certificate(
-            case_id="Thm4.2-case1",
-            fn_class="convex",
-            ineq="rpl",
-            multipliers=(
-                ("B12", "alpha1", lambda t, q: 1 / (1 + t * q)),
-                ("C12", "beta1", lambda t, q: 1 / (1 + t * q)),
-                ("E1", "lambda1", lambda t, q: t * q / (1 + t * q)),
-                ("E2", "lambda2", lambda t, q: t * q / (1 + t * q)),
-            ),
-            rho=lambda t, q: (1 - t * q) / (1 + t * q),
-            remainder_coeff=lambda t, q: (t - 1) / (2 * (1 + t * q)),
-            remainder_weights=lambda t, q: {"g1": 1, "g2": -1},
-            interval=(0.0, 1.0, False, True),
-            check_kind="inequality-chain",
-        ),
-        _certificate(
-            case_id="Thm4.2-case2",
-            fn_class="convex",
-            ineq="rpl",
-            multipliers=(
-                ("B12", "alpha1", lambda t, q: 1 / (-t + t * q + 2)),
-                ("B21", "alpha2", lambda t, q: (t - 1) / (-t + t * q + 2)),
-                ("C12", "beta1", lambda t, q: (-t + 2) / (-t + t * q + 2)),
-                ("E1", "lambda1", lambda t, q: t * q * (-2 * t + 3) / (-t + t * q + 2)),
-                ("E2", "lambda2", lambda t, q: t * q / (-t + t * q + 2)),
-            ),
-            rho=lambda t, q: (2 * t**2 * q - t - 3 * t * q + 2) / (-t + t * q + 2),
-            remainder_coeff=None,
-            remainder_weights=None,
-            interval=(1.0, 1.5, False, True),
-            check_kind="inequality-chain",
-        ),
-        _large_step(
-            "Thm4.2-case3", "convex", "rpl", ("B12", "B21", "C12", "E2"),
-            lambda t, q: (3 - 2 * t) / (2 * _den_large(t, q)),
-            1.5, "inequality-chain",
-        ),
-    ]
-
-
-_CATALOG = {c.case_id: c for c in certificate_catalog()}
+    """All eight theorem-case certificates, in theorem order: a new list of
+    the one set of objects that `certificate_for` and `rates.CASES` hold."""
+    return list(_CERTIFICATES)
 
 
 def certificate_for(case_id: str) -> Certificate:
@@ -673,54 +679,31 @@ def _rational(value) -> Optional[Fraction]:
 
 
 @functools.cache
-def _symbolic(cert: Certificate) -> Optional[tuple]:
-    """The certificate's formulas evaluated once on the symbols t and q,
-    as _RationalFunctions: (multipliers at L = 1, rate, remainder
-    coefficient, {symbol name: remainder weight}), a zero coefficient and
-    no weights without a remainder. None when a formula cannot run on
-    symbols (math.sqrt, a comparison) or gives a non-number."""
+def _integer_forms(cert: Certificate) -> Optional[tuple]:
+    """The one analysis of a certificate, None when it is not proved. Its
+    formulas run once on the symbols t and q, as _RationalFunctions; one
+    that cannot (math.sqrt, a comparison) or gives a non-number is not
+    proved. The identity holds for every (t, q) when the combination minus
+    the remainder built from them has a zero numerator in each of the nine
+    entries, and then their integer forms are (dt, dq, rows, then (num,
+    den) row indices per multiplier, for the rate, the remainder
+    coefficient and its trace coeff*||w||^2). Each num and den is scaled
+    to integer coefficients and lifted to the largest degrees dt in t and
+    dq in q, and the distinct ones are the rows: row[i*(dq + 1) + j]
+    multiplies t^i q^j. So at t = a/A and q = c/C a row's dot product with
+    the monomials a^i A^(dt-i) c^j C^(dq-j) is its value times
+    A^dt C^dq > 0, one factor that every ratio cancels and no sign sees."""
     try:
         values = [_lift(formula(1, _Q, _T)) for _cname, _label, formula in cert.multipliers]
-        rho, coeff, weights = _lift(cert.rate(1, _Q, _T)), _lift(0), {}
-        if cert.remainder_coeff is not None:
-            coeff = _lift(cert.remainder_coeff(_T, _Q))
-            weights = {name: _lift(w) for name, w in cert.remainder_weights(_T, _Q).items()}
-    except (TypeError, ValueError, ArithmeticError):
-        return None
-    return None if None in (*values, rho, coeff, *weights.values()) else (values, rho, coeff, weights)
-
-
-@functools.cache
-def _proved(cert: Certificate) -> bool:
-    """Whether the certificate's identity holds for every (t, q): its own
-    combination minus its remainder, built from its formulas on symbols
-    (`_symbolic`), has a zero numerator in each of the nine entries. A
-    formula that cannot run on symbols is not proved."""
-    formulas = _symbolic(cert)
-    if formulas is None:
-        return False
-    values, rho, coeff, weights = formulas
-    try:
+        rho, coeff = _lift(cert.rate(1, _Q, _T)), _lift(cert.remainder_coeff(_T, _Q))
+        weights = {name: _lift(w) for name, w in cert.remainder_weights(_T, _Q).items()}
+        if None in (*values, rho, coeff, *weights.values()):
+            return None
         diff = cert.weighted_combination(_T, _Q, values, rho).a - cert.remainder_expression(_T, _Q, coeff, weights).a
+        if any(_lift(x).num for x in diff):
+            return None
     except (TypeError, ValueError, ArithmeticError):
-        return False
-    return not any(_lift(x).num for x in diff)
-
-
-@functools.cache
-def _integer_forms(cert: Certificate) -> Optional[tuple]:
-    """A proved certificate's formulas (`_symbolic`) as integer num/den
-    polynomials, None for an unproved one: (dt, dq, rows, then (num, den)
-    row indices per multiplier, for the rate, the remainder coefficient
-    and its trace coeff*||w||^2). Each num and den is scaled to integer
-    coefficients and lifted to the largest degrees dt in t and dq in q,
-    and the distinct ones are the rows: row[i*(dq + 1) + j] multiplies
-    t^i q^j. So at t = a/A and q = c/C a row's dot product with the
-    monomials a^i A^(dt-i) c^j C^(dq-j) is its value times A^dt C^dq > 0,
-    one factor that every ratio cancels and no sign sees."""
-    if not _proved(cert):
         return None
-    values, rho, coeff, weights = _symbolic(cert)
     pairs = []
     for x in (*values, rho, coeff, coeff * sum(w * w for w in weights.values())):
         scale = math.lcm(*(Fraction(c).denominator for p in (x.num, x.den) for c in p.values()))
@@ -734,19 +717,25 @@ def _integer_forms(cert: Certificate) -> Optional[tuple]:
     return (dt, dq, tuple(rows), index[: len(values)], *index[len(values) :])
 
 
-def _decide_integer(forms: tuple, q: Fraction, t: Fraction) -> Optional[tuple]:
+def _proved(cert: Certificate) -> bool:
+    """Whether the certificate's identity holds for every (t, q)."""
+    return _integer_forms(cert) is not None
+
+
+def _decide_integer(forms: tuple, q: Fraction, t: Fraction) -> tuple:
     """`_decide_exact` at one point from a proved certificate's integer
     forms: each sign is an integer sign test, each float one correctly
     rounded int division (the bits of float(Fraction)), and the remainder
-    coefficient the one Fraction built. None at a pole of a formula."""
+    coefficient the one Fraction built. A pole of a formula raises
+    ZeroDivisionError, as the Fraction path does."""
     dt, dq, rows, multipliers, rate, (cn, cd), (tn, td) = forms
     a, A, c, C = t.numerator, t.denominator, q.numerator, q.denominator
     tp = [a**i * A ** (dt - i) for i in range(dt + 1)]
     qp = [c**j * C ** (dq - j) for j in range(dq + 1)]
     monomials = [x * y for x in tp for y in qp]
     v = [sum(map(operator.mul, row, monomials)) for row in rows]
-    if not all(v[d] for _n, d in multipliers) or not (v[rate[1]] and v[cd] and v[td]):
-        return None
+    if not all(v[d] for _n, d in (*multipliers, rate, (cn, cd), (tn, td))):
+        raise ZeroDivisionError("a certificate formula has a pole at this point")
 
     def ratio(n, d):  # the rational's float; a zero is +0.0, as float(Fraction(0))
         return v[n] / v[d] if v[n] else 0.0
@@ -761,12 +750,11 @@ def _decide_exact(cert: Certificate, q: Fraction, t: Fraction) -> tuple:
     as floats, then each check's reported value and whether it fails:
     (floats, multiplier fails, residual, identity fails, remainder
     coefficient, coefficient fails, trace, trace fails). A proved
-    certificate (`_proved`) is decided on its formulas' integer forms
-    (`_decide_integer`); an unproved one, or a point at a pole, on the
-    formulas' Fraction values (`_decide_fraction`)."""
+    certificate is decided on its formulas' integer forms
+    (`_decide_integer`), an unproved one on the formulas' Fraction values
+    (`_decide_fraction`); on both paths a pole raises ZeroDivisionError."""
     forms = _integer_forms(cert)
-    decided = None if forms is None else _decide_integer(forms, q, t)
-    return _decide_fraction(cert, q, t) if decided is None else decided
+    return _decide_fraction(cert, q, t) if forms is None else _decide_integer(forms, q, t)
 
 
 def _decide_fraction(cert: Certificate, q: Fraction, t: Fraction) -> tuple:
@@ -778,10 +766,8 @@ def _decide_fraction(cert: Certificate, q: Fraction, t: Fraction) -> tuple:
     raw = [formula(1, q, t) for _cname, _label, formula in cert.multipliers]
     m = [_rational(v) for v in raw]
     rho = _rational(cert.rate(1, q, t))
-    coeff, weights = Fraction(0), {}
-    if cert.remainder_coeff is not None:
-        coeff = cert.remainder_coeff(t, q)
-        weights = {name: _rational(w) for name, w in cert.remainder_weights(t, q).items()}
+    coeff = cert.remainder_coeff(t, q)
+    weights = {name: _rational(w) for name, w in cert.remainder_weights(t, q).items()}
     c = _rational(coeff)
     rel, identity_bad, trace, trace_bad = math.nan, True, math.nan, True
     if c is not None and None not in weights.values():
@@ -819,11 +805,14 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
     the interval, where exact mode sees the certificate fail;
     `interval_grid` keeps its points inside. A NaN fails every check
     that reads it. (L, mu) must lie in `check_parameters`' domain, with
-    mu <= L; float mode also needs a finite float L/mu (`_features`).
+    mu <= L, and gamma must hold a point; float mode also needs a finite
+    float L/mu (`_features`).
     """
     check_parameters(L, mu)
     check_modulus(L, mu)
     gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
+    if not gamma_arr.size:
+        raise DomainError(f"no gamma to check for {cert.case_id}")
     inside = cert.gamma_in_interval(L, gamma_arr)
     if not np.all(inside):
         bad = gamma_arr[~inside]
@@ -853,8 +842,8 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
         raw = [formula(1, q, t) for _cname, _label, formula in cert.multipliers]
         values = np.stack([per_gamma(m) for m in raw])
         floats = values.astype(float)
-        raw_coeff = None if cert.remainder_coeff is None else cert.remainder_coeff(t, q)
-        coeff = per_gamma(0.0 if raw_coeff is None else raw_coeff)
+        raw_coeff = cert.remainder_coeff(t, q)
+        coeff = per_gamma(raw_coeff)
         # a NaN compares false and so fails; an infinite multiplier makes
         # inf - inf in the combination
         with np.errstate(invalid="ignore"):

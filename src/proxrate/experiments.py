@@ -57,10 +57,9 @@ class StepPolicy:
             return float(self.value), self.label
         if mu is None and problem_kind == "elastic_net":
             raise DomainError("optimal policy for elastic_net needs mu")
-        # a modulus at or above L still certifies every weaker one, and
-        # the convex-rpl rule needs mu strictly below L
-        if mu is not None and not mu < L:
-            mu = L * (1.0 - 1e-12)
+        # a modulus above L still certifies every weaker one, L among them
+        if mu is not None:
+            mu = min(mu, L)
         return rates.STEP_RULES[OPTIMAL_STEP_PAIR[problem_kind]](L, mu)
 
 

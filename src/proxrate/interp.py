@@ -13,12 +13,13 @@ from __future__ import annotations
 import logging
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .pgm import Trace
-from .problem import CompositeProblem
+if TYPE_CHECKING:
+    from .pgm import Trace
+    from .problem import CompositeProblem
 
 log = logging.getLogger(__name__)
 

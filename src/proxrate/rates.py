@@ -100,8 +100,6 @@ def rpl_convex_interior_step(L, mu):
 
 
 def _rpl_convex_step(L, mu):
-    if not mu < L:
-        raise DomainError("convex-rpl optimal step requires mu < L")
     if mu <= L / 9.0:
         return 1.5 / L, "Prop4.2-small-mu"
     return rpl_convex_interior_step(L, mu), "Prop4.2-large-mu"
@@ -119,6 +117,7 @@ STEP_RULES = {
 def optimal_step(fn_class, ineq, L, mu) -> OptimalStep:
     """Step size minimizing the worst-case rate over (0, 2/L), for mu <= L."""
     check_parameters(L, mu)
+    check_modulus(L, mu)
     _cases(fn_class, ineq)
     g, branch = STEP_RULES[(fn_class, ineq)](L, mu)
     return OptimalStep(g, rate(RateQuery(fn_class, ineq, L, mu, g)).rho, branch)

@@ -47,6 +47,25 @@ class TestCatalog:
         with pytest.raises(DomainError):
             cm.certificate_for("Thm9.9")
 
+    def test_one_set_of_certificate_objects(self):
+        # every catalog is the one set of objects, each list a new one
+        catalog = cm.certificate_catalog()
+        assert catalog is not cm.certificate_catalog()
+        assert all(a is b for a, b in zip(catalog, cm.certificate_catalog()))
+        assert all(cm.certificate_for(cert.case_id) is cert for cert in catalog)
+        grouped = [cert for certs in CASES.values() for cert in certs]
+        assert sorted(map(id, grouped)) == sorted(map(id, catalog))
+
+    def test_import_builds_each_certificate_once(self):
+        code = (
+            "import gc, proxrate\n"
+            "gc.collect()\n"
+            "print(sum(isinstance(o, proxrate.Certificate) for o in gc.get_objects()))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cm.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["8"]
+
     def test_first_nonconvex_multiplier_values(self):
         cert = cm.certificate_for("Thm3.1-case1")
         L, mu, g = 1.0, 0.1, 1.0
@@ -460,6 +479,11 @@ class TestSweep:
         s = cm.sweep_verify("Thm3.2-case1", 1.0, 0.1, [])
         assert s.n_points == 0
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_an_empty_gamma_is_a_domain_error(self, exact):
+        with pytest.raises(DomainError, match="no gamma"):
+            cm.verify_certificate(cm.certificate_for("Thm3.2-case1"), 1.0, 0.1, [], exact=exact)
+
     def test_point_outside_interval_names_it(self):
         with pytest.raises(DomainError) as err:
             cm.sweep_verify("Thm3.2-case1", 1.0, 0.1, [0.5, 1.7])
@@ -568,8 +592,7 @@ class TestCoefficientTables:
     def test_tables_are_built_on_first_use(self):
         code = (
             "from proxrate import certificate as cm\n"
-            "def counts(): return (cm._table.cache_info().currsize, cm._proved.cache_info().misses,\n"
-            "    cm._symbolic.cache_info().currsize, cm._integer_forms.cache_info().currsize)\n"
+            "def counts(): return cm._table.cache_info().currsize, cm._integer_forms.cache_info().misses\n"
             "print(*counts())\n"
             "cm.sweep_verify('Thm4.1', 1.0, 0.1, [1.0]); print(*counts())\n"
             "cm.verify_certificate(cm.certificate_for('Thm4.1'), 1.0, 0.1, 1.0, exact=True); print(*counts())\n"
@@ -578,11 +601,11 @@ class TestCoefficientTables:
         env = {**os.environ, "PYTHONPATH": str(Path(cm.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         # nothing at import; a float sweep builds Thm4.1's three float tables
-        # and the exact ones they come from, and proves nothing; the first
-        # exact check runs Thm4.1's formulas on symbols once, proves it on
-        # those exact tables and builds its integer forms, and the second
-        # reuses all three
-        assert out.stdout.splitlines() == ["0 0 0 0", "6 0 0 0", "6 1 1 1", "6 1 1 1"]
+        # and the exact ones they come from, and analyses nothing; the first
+        # exact check analyses Thm4.1 once (its formulas on symbols, its
+        # proof on those exact tables, its integer forms), and the second
+        # reuses that analysis
+        assert out.stdout.splitlines() == ["0 0", "6 0", "6 1", "6 1"]
 
 
 def scaled(f, factor=Fraction(1001, 1000)):
@@ -597,8 +620,8 @@ class TestProofs:
     @pytest.mark.parametrize("part", ["multiplier", "rate", "remainder coefficient", "remainder weight"])
     def test_tampering_fails_the_proof(self, part):
         for cert in cm.certificate_catalog():
-            if cert.remainder_coeff is None and part.startswith("remainder"):
-                continue
+            if not cert.remainder_weights(1, 1) and part.startswith("remainder"):
+                continue  # an empty square has nothing to tamper with
             i = len(cert.multipliers) - 1
             cname, label, formula = cert.multipliers[i]
 
@@ -699,11 +722,13 @@ class TestIntegerForms:
 
     def test_a_pole_is_decided_on_fractions(self):
         # Thm4.2-case2's denominator -t + t*q + 2 vanishes at (t, q) = (4, 1/2),
-        # outside its interval: the integer forms decline the point, and the
-        # Fraction path raises there as it always has
+        # outside its interval: both exact paths raise there
         cert = cm.certificate_for("Thm4.2-case2")
         q, t = Fraction(1, 2), Fraction(4)
-        assert cm._decide_integer(cm._integer_forms(cert), q, t) is None
+        with pytest.raises(ZeroDivisionError):
+            cm._decide_integer(cm._integer_forms(cert), q, t)
+        with pytest.raises(ZeroDivisionError):
+            cm._decide_fraction(cert, q, t)
         with pytest.raises(ZeroDivisionError):
             cm._decide_exact(cert, q, t)
 

@@ -47,6 +47,12 @@ class TestPolicyParsing:
             step = rates.optimal_step(fn_class, ineq, L, mu)
             assert parse_policy("optimal").resolve(kind, L, mu) == (step.gamma_star, step.branch)
 
+    @pytest.mark.parametrize("L", [1.0, 3.7, 0.013])
+    def test_optimal_reads_a_modulus_above_L_as_L(self, L):
+        step = rates.optimal_step("convex", "rpl", L, L)
+        for mu in (L, 2 * L):
+            assert parse_policy("optimal").resolve("elastic_net", L, mu) == (step.gamma_star, step.branch)
+
     def test_optimal_elastic_net_needs_mu(self):
         with pytest.raises(DomainError):
             parse_policy("optimal").resolve("elastic_net", 1.0, None)

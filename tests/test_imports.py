@@ -31,3 +31,31 @@ def test_imports_are_stdlib_numpy_or_declared(tree):
     allowed = ALLOWED[tree] | set(sys.stdlib_module_names) | local
     strays = [(f.relative_to(ROOT).as_posix(), name) for f in files for name in imported_modules(f) if name not in allowed]
     assert not strays
+
+
+def runtime_imports(path):
+    """Package modules one file imports when it runs: its relative imports,
+    those under `if TYPE_CHECKING:` left out."""
+    def walk(nodes):
+        for node in nodes:
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+                yield from walk(node.orelse)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                yield from [node.module] if node.module else (alias.name for alias in node.names)
+            else:
+                yield from walk(ast.iter_child_nodes(node))
+
+    return set(walk(ast.parse(path.read_text(), str(path)).body))
+
+
+@pytest.mark.parametrize("route", ["certificate", "interp", "rates", "pepsearch", "errors"])
+def test_route_modules_load_no_solver(route):
+    # the rate, certificate and search routes reach no solver or driver module
+    package = ROOT / "src" / "proxrate"
+    reached, todo = set(), [route]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(runtime_imports(package / f"{name}.py"))
+    assert not reached & {"pgm", "problem", "experiments", "cli"}

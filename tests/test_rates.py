@@ -172,9 +172,21 @@ class TestOptimalStep:
         mu = 1.0  # exactly L/9
         assert abs(rpl_convex_interior_step(L, mu) - 1.5 / L) <= 1e-12
 
-    def test_convex_rpl_requires_mu_below_L(self):
-        with pytest.raises(DomainError):
-            optimal_step("convex", "rpl", 1.0, 1.0)
+    @pytest.mark.parametrize("fn_class, ineq", [("nonconvex", "pl"), ("convex", "pl"), ("nonconvex", "rpl"), ("convex", "rpl")])
+    def test_every_pair_refuses_mu_above_L(self, fn_class, ineq):
+        with pytest.raises(DomainError, match="mu > L"):
+            optimal_step(fn_class, ineq, 1.0, float(np.nextafter(1.0, 2.0)))
+
+    @pytest.mark.parametrize("L", [1.0, 3.7, 0.013])
+    def test_every_pair_answers_at_mu_equal_L(self, L):
+        for fn_class, ineq in [("nonconvex", "pl"), ("convex", "pl"), ("nonconvex", "rpl"), ("convex", "rpl")]:
+            step = optimal_step(fn_class, ineq, L, L)
+            assert step.rho_star == rho(fn_class, ineq, L, L, step.gamma_star)
+        # Prop4.2's interior step is 1/L there, where the rate vanishes
+        assert step.branch == "Prop4.2-large-mu"
+        assert step.gamma_star == pytest.approx(1.0 / L, rel=1e-15)
+        assert step.rho_star == pytest.approx(0.0, abs=1e-15)
+        assert optimal_step("convex", "rpl", 1.0, 1.0)[:2] == (1.0, 0.0)
 
     @pytest.mark.parametrize(
         "fn_class, ineq", [("nonconvex", "pl"), ("convex", "pl"), ("nonconvex", "rpl"), ("convex", "rpl")]
