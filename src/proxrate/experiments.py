@@ -1,7 +1,8 @@
 """Step-size comparison experiments on the three instance families.
 
 Each experiment generates a seeded random instance, computes a reference
-objective value from a long run at step 1/L, then runs one trace per
+objective value from a run at step 1/L (`pgm.estimate_fstar`: PGM with a
+Newton warm start, confirmed by PGM), then runs one trace per
 step policy from a shared start (the origin), each stopped once its
 objective is within the significance floor of that value, and tabulates
 iterations to a target gap, observed contraction factors, and, where a
@@ -175,14 +176,15 @@ def tail_geometric_mean(factors: np.ndarray) -> Optional[float]:
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Generate the instance, run every policy from the origin, tabulate.
 
-    The reference value is the best objective seen anywhere: a long run
-    at 1/L with tight residual tolerance, then lowered further if some
-    policy's trace ends below it (policies can reach different basins on
-    the nonconvex family). Each policy run stops at its first point within
-    the significance floor of the long run's value, where its gaps stop
-    yielding factors. A run that passes below that value keeps the plain
-    stop rules, as do all runs when the long run is stale or gap_tol is
-    below twice the floor (a cut run could then stop short of gap_tol).
+    The reference value is the best objective seen anywhere: the
+    reference run at 1/L (`estimate_fstar`) to a tight residual tolerance,
+    then lowered further if some policy's trace ends below it (policies
+    can reach different basins on the nonconvex family). Each policy run
+    stops at its first point within the significance floor of the
+    reference run's value, where its gaps stop yielding factors. A run
+    that passes below that value keeps the plain stop rules, as do all
+    runs when the reference run is stale or gap_tol is below twice the
+    floor (a cut run could then stop short of gap_tol).
     """
     data = generate_instance(spec.kind, spec.n, spec.d, spec.lam, spec.seed, spec.delta)
     problem = data.problem()

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, check_parameters
-from .problem import CompositeProblem
+from .problem import CompositeProblem, restricted_model
 
 _EPS = float(np.finfo(float).eps)
 
@@ -39,6 +39,13 @@ REFERENCE_BUDGET = 200_000
 # iterates before it; floating-point orbits of period up to 42 were seen
 # on srlr at 0.5/L, and the bound keeps the memory of a run at O(64*d)
 CYCLE_WINDOW = 64
+
+# the reference run jumps to a Newton point once the sign pattern of its
+# next point has held this many steps (srlr, lasso and elastic net at
+# n = 200, d = 20 fix theirs after 4-36), and takes at most NEWTON_STEPS
+# Newton steps per jump: srlr's restriction took up to 6, a quadratic one 1
+SIGN_WINDOW = 5
+NEWTON_STEPS = 8
 
 # numpy's warnings that a step's arithmetic may raise on its way to a
 # non-finite value, which `_evaluate` then names; a run enters this once
@@ -190,9 +197,13 @@ def residual(problem: CompositeProblem, gamma: float, x) -> tuple[np.ndarray, fl
     return ev.residual, ev.rnorm
 
 
-def _iterates(problem: CompositeProblem, gamma: float, x1, max_iters: int, stop_tol: float, reference: Optional[float] = None):
-    """Yield (x_i, _evaluate(x_i), stop) for i = 1, 2, ...; `stop` is None
-    except on the last point, where it is the run's `Trace.stopped_on`.
+def _iterates(
+    problem: CompositeProblem, gamma: float, x1, max_iters: int, stop_tol: float, reference: Optional[float] = None, first: int = 1
+):
+    """Yield (x_i, _evaluate(x_i), stop) for i = first, first + 1, ...,
+    with x_first = x1; `stop` is None except on the last point, where it
+    is the run's `Trace.stopped_on`. A `first` above 1 continues a run
+    whose earlier points came from elsewhere, under the same budget.
 
     The run stops at the first point whose F lies within the significance
     floor of `reference` (when one is given), whose residual norm is at
@@ -206,7 +217,7 @@ def _iterates(problem: CompositeProblem, gamma: float, x1, max_iters: int, stop_
         raise NonFiniteError("non-finite starting point")
     recent = {}  # byte keys of the last CYCLE_WINDOW points, oldest first
     floor = significance_floor(reference or 0.0)
-    for i in range(1, max_iters + 2):
+    for i in range(first, max_iters + 2):
         ev = _evaluate(problem, gamma, x, i)
         key = x.tobytes()
         if reference is not None and abs(ev.F - reference) <= floor:
@@ -238,11 +249,19 @@ def run_pgm(problem: CompositeProblem, config: PgmConfig, x1) -> Trace:
     """
     config.validate(problem.f.lipschitz)
     gamma = config.step
-    rows = []
+    # rows are appended as bytes and viewed once as (n, d) arrays at the
+    # end, which costs less per step than stacking per-row arrays
+    points, grads, subs = bytearray(), bytearray(), bytearray()
+    F_list, rnorm_list = [], []
     with np.errstate(**_QUIET):
         for x, ev, stopped_on in _iterates(problem, gamma, x1, config.max_iters, config.stop_tol, config.reference):
-            rows.append((x, ev.g, ev.s_next, ev.F, ev.rnorm))
-    points, grads, subs, F_vals, res_norms = (np.array(col) for col in zip(*rows))
+            points += x.tobytes()
+            grads += ev.g.tobytes()
+            subs += ev.s_next.tobytes()
+            F_list.append(ev.F)
+            rnorm_list.append(ev.rnorm)
+    F_vals, res_norms = np.array(F_list), np.array(rnorm_list)
+    points, grads, subs = (np.frombuffer(rows).reshape(F_vals.size, -1) for rows in (points, grads, subs))
     # flag only increases that exceed evaluation roundoff
     floor = 8.0 * _EPS * (1.0 + np.abs(F_vals[:-1]))
     increases = np.nonzero(np.diff(F_vals) > floor)[0] + 1
@@ -259,31 +278,111 @@ def run_pgm(problem: CompositeProblem, config: PgmConfig, x1) -> Trace:
 
 
 class FstarEstimate(NamedTuple):
-    """Best objective value found by a long reference run.
+    """Best objective value found by the reference run.
 
-    `stale` is set only when the budget ran out, i.e. the value may
-    still be improvable. A run that stops at a floating-point cycle is
-    not stale: further steps would revisit the same points, so they
-    cannot lower the best value. `iterations` counts the steps taken, as
-    `Trace.iterations` does.
+    `value` is the least F that a PGM step evaluated. `stale` is set only
+    when the budget ran out, i.e. the value may still be improvable. A run
+    that stops at a floating-point cycle is not stale: further steps would
+    revisit the same points, so they cannot lower the best value.
+    `iterations` counts the steps taken, as `Trace.iterations` does: the
+    points visited, less one. `warm_start` is the outcome of the run's
+    last Newton attempt (see `estimate_fstar`): None where there was none
+    (no family data, or a stop rule came first), "newton" where PGM
+    resumed from the Newton point, or the reason PGM went on from its own
+    point instead: "indefinite" (the restricted Hessian has no Cholesky
+    factor) or "no_decrease" (Newton did not lower the restricted F).
     """
 
     value: float
     stale: bool
     iterations: int
+    warm_start: Optional[str] = None
+
+
+def _newton(model, x) -> tuple[Optional[np.ndarray], str]:
+    """At most NEWTON_STEPS Newton steps on `model` (see
+    `problem.restricted_model`) from x, over x's support and signs.
+
+    A coordinate whose sign a step would flip, or zero, is dropped from
+    the support, set to 0, and the step solved again. Steps go on while
+    each lowers the norm of the restricted gradient without raising F
+    above its value at x, until that norm is at most FSTAR_STOP_TOL.
+    Returns the last such point and "newton" if its F is below x's, else
+    None and the reason ("indefinite": the restricted Hessian has no
+    Cholesky factor; "no_decrease"). x itself is never written.
+    """
+    z = x
+    support = np.flatnonzero(z)
+    start_F, g, H = model(z, support)
+    best, best_F, best_norm = None, start_F, math.sqrt(g @ g)
+    for _ in range(NEWTON_STEPS):
+        try:
+            factor = np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            if best is None:
+                return None, "indefinite"
+            break
+        trial = z[support] - np.linalg.solve(factor.T, np.linalg.solve(factor, g))
+        flipped = np.sign(trial) != np.sign(z[support])
+        z = z.copy()
+        if flipped.any():
+            z[support[flipped]] = 0.0
+            support = support[~flipped]
+            _, g, H = model(z, support)
+            continue
+        z[support] = trial
+        F, g, H = model(z, support)
+        norm = math.sqrt(g @ g)
+        if not (norm < best_norm and F <= start_F):
+            break
+        best, best_F, best_norm = z, F, norm
+        if norm <= FSTAR_STOP_TOL:
+            break
+    if best is None or not best_F < start_F:
+        return None, "no_decrease"
+    return best, "newton"
 
 
 def estimate_fstar(problem: CompositeProblem, x1, max_iters: int = REFERENCE_BUDGET) -> FstarEstimate:
-    """Surrogate optimal value from a long run with step 1/L, stopped at
-    FSTAR_STOP_TOL on the residual norm or at a floating-point cycle.
+    """Surrogate optimal value from a run with step 1/L, stopped at
+    FSTAR_STOP_TOL on the residual norm, at a floating-point cycle, or
+    when max_iters steps are spent.
+
+    On a family problem (`problem.restricted_model`), once the sign
+    pattern of the next point has held SIGN_WINDOW steps, Newton steps on
+    F restricted to that support and those signs (`_newton`) move the
+    next point, and PGM resumes from there under the same stop rules and
+    budget, so a PGM step confirms every value. The pattern can still
+    change after a jump (a coordinate may cross zero on its way to the
+    optimum); once a new one holds SIGN_WINDOW steps, Newton runs again.
+    Where Newton fails, PGM goes on from its own next point and takes no
+    more Newton steps, so a run whose first attempt fails is the plain run
+    bit for bit.
 
     Only the best value is kept, so budgets in the hundreds of thousands
     of iterations stay cheap.
     """
     config = PgmConfig(1.0 / problem.f.lipschitz, max_iters, FSTAR_STOP_TOL)
     config.validate(problem.f.lipschitz)
-    best = np.inf
+    model = restricted_model(problem)
+    best, warm_start, held, pattern, i = np.inf, None, 0, None, 0
     with np.errstate(**_QUIET):
-        for steps, (_, ev, stop) in enumerate(_iterates(problem, config.step, x1, max_iters, FSTAR_STOP_TOL)):
-            best = min(best, ev.F)
-    return FstarEstimate(best, stale=stop == "max_iters", iterations=steps)
+        run = _iterates(problem, config.step, x1, max_iters, FSTAR_STOP_TOL)
+        while True:
+            for i, (_, ev, stop) in enumerate(run, i + 1):
+                best = min(best, ev.F)
+                if model is not None and stop is None:
+                    signs = np.sign(ev.y).tobytes()
+                    held = held + 1 if signs == pattern else 0
+                    pattern = signs
+                    if held == SIGN_WINDOW:
+                        start, warm_start = _newton(model, ev.y)
+                        break
+            else:
+                break
+            if start is None:
+                model = None
+            else:
+                run = _iterates(problem, config.step, start, max_iters, FSTAR_STOP_TOL, first=i + 1)
+                held = 0
+    return FstarEstimate(best, stale=stop == "max_iters", iterations=i - 1, warm_start=warm_start)

@@ -10,6 +10,13 @@ Each family's f is a loss of the residual r = Ax - b; its
 `value_and_gradient` computes r once and gives the bits of separate
 `value` and `gradient` calls. Any other oracle, including one rebuilt by
 `dataclasses.replace`, evaluates through its `value` and `gradient`.
+
+A family's f and h also carry their second-order data (A, b and the
+loss's curvature; the penalty weights), which `restricted_model` turns
+into the smooth restriction of F to a support and sign pattern for the
+reference run's Newton warm start. Unlike the fused step, that data
+survives `dataclasses.replace`, so a problem whose callables are wrapped
+(to count calls, say) keeps the warm start and its result.
 """
 from __future__ import annotations
 
@@ -42,6 +49,10 @@ class SmoothOracle:
     _fused: Optional[Callable[[Array], tuple[float, Array]]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # (A, b, loss, curvature) of a family's f(x) = phi(Ax - b), set only by
+    # `_residual_oracle` and read only by `restricted_model`; an init field,
+    # so `dataclasses.replace` carries it over to the rebuilt oracle
+    _residual: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         check_parameters(self.lipschitz)
@@ -59,6 +70,9 @@ class ProxOperator:
 
     value: Callable[[Array], float]
     prox: Callable[[Array, float], Array]
+    # (lam, delta) of h(x) = lam*||x||_1 + (delta/2)*||x||^2, set by
+    # `l1_prox` and `elastic_net_prox`; kept by `dataclasses.replace`
+    _penalty: Optional[tuple[float, float]] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -112,10 +126,11 @@ def _check_data(A, b):
     return A, b, eig
 
 
-def _residual_oracle(A, b, loss, lipschitz) -> SmoothOracle:
+def _residual_oracle(A, b, loss, curvature, lipschitz) -> SmoothOracle:
     """The oracle of f(x) = phi(Ax - b), where `loss(r)` returns phi(r) as
-    a float and its gradient in r. `value_and_gradient` computes r once;
-    a separate `value` or `gradient` call evaluates the whole loss."""
+    a float and its gradient in r, and `curvature(r)` the diagonal of its
+    Hessian in r. `value_and_gradient` computes r once; a separate `value`
+    or `gradient` call evaluates the whole loss."""
 
     def value(x):
         return loss(A @ x - b)[0]
@@ -127,7 +142,7 @@ def _residual_oracle(A, b, loss, lipschitz) -> SmoothOracle:
         fval, slope = loss(A @ x - b)
         return fval, A.T @ slope
 
-    oracle = SmoothOracle(value, gradient, lipschitz)
+    oracle = SmoothOracle(value, gradient, lipschitz, _residual=(A, b, loss, curvature))
     object.__setattr__(oracle, "_fused", value_and_gradient)
     return oracle
 
@@ -141,10 +156,19 @@ def _log_squares(r):
     return float(np.log1p(r2).sum()), 2.0 * r / (r2 + 1.0)
 
 
+def _unit_curvature(r):
+    return np.ones_like(r)
+
+
+def _log_squares_curvature(r):
+    r2 = r * r
+    return 2.0 * (1.0 - r2) / (1.0 + r2) ** 2
+
+
 def _least_squares(A, b):
     """The least-squares oracle and the spectrum it took L from."""
     A, b, eig = _check_data(A, b)
-    return _residual_oracle(A, b, _half_squares, float(eig[-1])), eig
+    return _residual_oracle(A, b, _half_squares, _unit_curvature, float(eig[-1])), eig
 
 
 def least_squares_oracle(A, b) -> SmoothOracle:
@@ -160,7 +184,7 @@ def robust_log_oracle(A, b) -> SmoothOracle:
     constant for the composition.
     """
     A, b, eig = _check_data(A, b)
-    return _residual_oracle(A, b, _log_squares, 2.0 * float(eig[-1]))
+    return _residual_oracle(A, b, _log_squares, _log_squares_curvature, 2.0 * float(eig[-1]))
 
 
 def soft_threshold(x, t):
@@ -179,7 +203,7 @@ def l1_prox(lam: float) -> ProxOperator:
     def prox(x, gamma):
         return soft_threshold(x, gamma * lam)
 
-    return ProxOperator(value, prox)
+    return ProxOperator(value, prox, _penalty=(lam, 0.0))
 
 
 def elastic_net_prox(lam: float, delta: float) -> ProxOperator:
@@ -199,7 +223,37 @@ def elastic_net_prox(lam: float, delta: float) -> ProxOperator:
     def prox(x, gamma):
         return soft_threshold(x, gamma * lam) / (1.0 + gamma * delta)
 
-    return ProxOperator(value, prox)
+    return ProxOperator(value, prox, _penalty=(lam, delta))
+
+
+def restricted_model(problem: CompositeProblem):
+    """F restricted to a support and sign pattern, for a family problem.
+
+    Returns `model(x, support) -> (F(x), gradient, Hessian)`, the last two
+    over the coordinates `support` with the signs of x there held fixed;
+    x must be zero off `support`. There F is smooth: phi(A_S x_S - b) +
+    lam*s.x_S + (delta/2)*||x_S||^2, with Hessian A_S^T diag(phi'') A_S +
+    delta*I. It evaluates from the family's data and calls no oracle.
+    Returns None when f or h carries no family data: a user oracle,
+    `zero_prox`, or one built directly as a `SmoothOracle`.
+    """
+    residual = getattr(problem.f, "_residual", None)
+    penalty = getattr(problem.h, "_penalty", None)
+    if residual is None or penalty is None:
+        return None
+    A, b, loss, curvature = residual
+    lam, delta = penalty
+
+    def model(x, support):
+        xs, cols = x[support], A[:, support]
+        r = cols @ xs - b
+        fval, slope = loss(r)
+        value = fval + lam * float(np.abs(xs).sum()) + 0.5 * delta * float(xs @ xs)
+        gradient = cols.T @ slope + lam * np.sign(xs) + delta * xs
+        hessian = cols.T @ (curvature(r)[:, None] * cols) + delta * np.eye(support.size)
+        return value, gradient, hessian
+
+    return model
 
 
 def zero_prox() -> ProxOperator:

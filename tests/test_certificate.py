@@ -58,7 +58,7 @@ class TestCatalog:
 
     def test_import_builds_each_certificate_once(self):
         code = (
-            "import gc, proxrate\n"
+            "import gc, proxrate.certificate\n"
             "gc.collect()\n"
             "print(sum(isinstance(o, proxrate.Certificate) for o in gc.get_objects()))\n"
         )

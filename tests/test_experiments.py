@@ -145,6 +145,33 @@ class TestRunExperiment:
         assert len(summary) == 1 + len(res.runs)
         assert (outdir / "trace_1_per_L.csv").exists()
 
+    @pytest.mark.parametrize("spec", [
+        ExperimentSpec(kind="srlr", n=60, d=8, seed=2, budget=5_000),
+        ExperimentSpec(kind="lasso", n=40, d=6, seed=3, budget=5_000),
+        ExperimentSpec(kind="elastic_net", n=30, d=5, delta=100.0, seed=1, budget=5_000),
+    ], ids=lambda spec: spec.kind)
+    def test_wrapped_oracles_write_the_same_csvs(self, spec, monkeypatch, tmp_path):
+        # f, h and the problem rebuilt around wrapped callables, the way a
+        # tracer counting oracle calls rebuilds each instance's problem
+        untraced = run_experiment(spec)
+        untraced.write_csvs(tmp_path / "a")
+        build = experiments.ProblemData.problem
+
+        def wrapped(data):
+            p = build(data)
+            f = dataclasses.replace(p.f, value=lambda x: p.f.value(x), gradient=lambda x: p.f.gradient(x))
+            h = dataclasses.replace(p.h, value=lambda x: p.h.value(x), prox=lambda u, g: p.h.prox(u, g))
+            return dataclasses.replace(p, f=f, h=h)
+
+        monkeypatch.setattr(experiments.ProblemData, "problem", wrapped)
+        traced = run_experiment(spec)
+        traced.write_csvs(tmp_path / "b")
+        assert traced.fhat == untraced.fhat
+        names = sorted(path.name for path in (tmp_path / "a").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
 
 CUT_SPECS = [
     ExperimentSpec(kind="srlr", n=100, d=10, seed=0, budget=20_000),

@@ -1,6 +1,9 @@
 """The package runs on the standard library and numpy alone, and its tests
 add only pytest and hypothesis: other installed packages never enter."""
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,7 +51,19 @@ def runtime_imports(path):
     return set(walk(ast.parse(path.read_text(), str(path)).body))
 
 
-@pytest.mark.parametrize("route", ["certificate", "interp", "rates", "pepsearch", "errors"])
+ROUTES = ["certificate", "interp", "rates", "pepsearch", "errors"]
+SOLVER = {"pgm", "problem", "experiments", "cli"}
+
+
+def loaded_after(code):
+    """The proxrate modules a fresh interpreter holds after running `code`."""
+    code += "\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith('proxrate.'))))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return {name.removeprefix("proxrate.") for name in json.loads(out.stdout)}
+
+
+@pytest.mark.parametrize("route", ROUTES)
 def test_route_modules_load_no_solver(route):
     # the rate, certificate and search routes reach no solver or driver module
     package = ROOT / "src" / "proxrate"
@@ -59,3 +74,24 @@ def test_route_modules_load_no_solver(route):
             reached.add(name)
             todo.extend(runtime_imports(package / f"{name}.py"))
     assert not reached & {"pgm", "problem", "experiments", "cli"}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_route_modules_load_no_solver_at_run_time(route):
+    # the package's __init__ runs first, and must not load the solver either
+    loaded = loaded_after(f"import proxrate.{route}")
+    assert route in loaded
+    assert not loaded & SOLVER
+
+
+def test_package_names_load_their_module_on_first_use():
+    assert loaded_after("import proxrate") == set()
+    code = (
+        "import proxrate\n"
+        "for name in proxrate.__all__:\n"
+        "    getattr(proxrate, name)\n"
+        "from proxrate import *\n"
+        "assert proxrate.run_pgm is run_pgm is proxrate.pgm.run_pgm\n"
+        "assert proxrate.Certificate is Certificate is proxrate.certificate.Certificate\n"
+    )
+    assert loaded_after(code) >= {"certificate", "errors", "interp", "pgm", "problem", "rates", "rng"}

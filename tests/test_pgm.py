@@ -5,8 +5,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from proxrate import pgm
 from proxrate.errors import DomainError, NonFiniteError
-from proxrate.pgm import CYCLE_WINDOW, PgmConfig, _evaluate, estimate_fstar, residual, run_pgm
+from proxrate.pgm import (
+    CYCLE_WINDOW,
+    FSTAR_STOP_TOL,
+    REFERENCE_BUDGET,
+    PgmConfig,
+    _evaluate,
+    estimate_fstar,
+    residual,
+    run_pgm,
+)
 from proxrate.problem import (
     CompositeProblem,
     ProxOperator,
@@ -14,8 +24,33 @@ from proxrate.problem import (
     generate_instance,
     l1_prox,
     least_squares_oracle,
+    robust_log_oracle,
     zero_prox,
 )
+
+EPS = float(np.finfo(float).eps)
+
+
+def without_family_data(problem):
+    """The same F through user-built oracles, which carry no family data:
+    its reference run is PGM alone."""
+    f = SmoothOracle(problem.f.value, problem.f.gradient, problem.f.lipschitz)
+    return CompositeProblem(f, ProxOperator(problem.h.value, problem.h.prox), problem.mu, problem.mu_inequality)
+
+
+@pytest.fixture
+def visited(monkeypatch):
+    """(point bytes, F, stop) of every point the runs' `_iterates` yield."""
+    seen = []
+    original = pgm._iterates
+
+    def recording(*args, **kwargs):
+        for x, ev, stop in original(*args, **kwargs):
+            seen.append((x.tobytes(), ev.F, stop))
+            yield x, ev, stop
+
+    monkeypatch.setattr(pgm, "_iterates", recording)
+    return seen
 
 
 def quadratic_problem():
@@ -145,10 +180,10 @@ class TestEstimateFstar:
 
     @pytest.mark.parametrize("max_iters", [10_000, 20])
     def test_matches_run_pgm_at_1_over_L(self, max_iters):
-        # the same iteration: the best value is the trace's minimum and
-        # the iteration count is the number of steps taken
+        # without family data, the same iteration: the best value is the
+        # trace's minimum and the iteration count is the number of steps taken
         data = generate_instance("lasso", 40, 6, 0.1, seed=3)
-        problem = data.problem()
+        problem = without_family_data(data.problem())
         est = estimate_fstar(problem, np.zeros(6), max_iters=max_iters)
         trace = run_pgm(problem, PgmConfig(1.0 / problem.f.lipschitz, max_iters, 1e-13), np.zeros(6))
         assert trace.stopped_on == ("stop_tol" if max_iters == 10_000 else "max_iters")
@@ -168,8 +203,7 @@ class TestEstimateFstar:
     def test_cycling_reference_run_is_not_stale(self):
         # scaled up, the residual's roundoff floor (about 1e-11) lies above
         # FSTAR_STOP_TOL, and the 1/L run cycles instead of meeting it
-        data = generate_instance("lasso", 40, 6, 0.1, seed=0)
-        problem = CompositeProblem(least_squares_oracle(data.A, 1e4 * data.b), l1_prox(1e3))
+        problem = without_family_data(scaled_lasso())
         est = estimate_fstar(problem, np.zeros(6))
         trace = run_pgm(problem, PgmConfig(1.0 / problem.f.lipschitz, 200_000, 1e-13), np.zeros(6))
         assert trace.stopped_on == "cycle"
@@ -177,6 +211,67 @@ class TestEstimateFstar:
         assert not est.stale
         assert est.iterations == trace.iterations < 200_000
         assert est.value == trace.F_vals.min()
+
+
+FAMILIES = [("srlr", None), ("lasso", None), ("elastic_net", 1e-2), ("elastic_net", 1.0), ("elastic_net", 100.0)]
+
+# most steps a reference run takes on the FAMILIES instances at n = 200,
+# d = 20, seeds 0-9 (18 were seen; the plain 1/L run takes 44-397)
+NEWTON_REFERENCE_STEPS = 30
+
+
+class TestNewtonReference:
+    """The reference run of a family problem: PGM, Newton once the sign
+    pattern holds, then PGM again from the Newton point."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("kind, delta", FAMILIES)
+    def test_pgm_confirms_the_newton_point(self, kind, delta, seed, visited):
+        problem = generate_instance(kind, 200, 20, 0.1, seed, delta).problem()
+        est = estimate_fstar(problem, np.zeros(20))
+        assert est.warm_start == "newton"
+        assert visited[-1][2] == "stop_tol" and not est.stale
+        assert est.iterations == len(visited) - 1 <= NEWTON_REFERENCE_STEPS
+        assert est.value == min(F for _, F, _ in visited)
+        plain = run_pgm(problem, PgmConfig(1.0 / problem.f.lipschitz, REFERENCE_BUDGET, FSTAR_STOP_TOL), np.zeros(20))
+        assert plain.stopped_on == "stop_tol" and est.iterations < plain.iterations
+        assert abs(est.value - plain.F_vals.min()) <= 4 * EPS * abs(plain.F_vals.min())
+
+    def test_forced_fallback_is_the_plain_run_bit_for_bit(self, visited):
+        # srlr in one dimension, started far from b: the pattern holds at
+        # once, while the residual's curvature is still negative there
+        problem = CompositeProblem(robust_log_oracle(np.array([[1.0]]), np.array([10.0])), l1_prox(0.01))
+        est = estimate_fstar(problem, np.zeros(1))
+        newton_visits = visited[:]
+        visited.clear()
+        plain = estimate_fstar(without_family_data(problem), np.zeros(1))
+        assert est.warm_start == "indefinite" and plain.warm_start is None
+        assert est[:3] == plain[:3]
+        assert newton_visits == visited
+        assert est.iterations > pgm.SIGN_WINDOW
+
+    def test_a_stop_rule_before_the_pattern_holds_leaves_the_plain_run(self):
+        data = generate_instance("lasso", 40, 6, 0.1, seed=3)
+        est = estimate_fstar(data.problem(), np.zeros(6), max_iters=3)
+        assert est == estimate_fstar(without_family_data(data.problem()), np.zeros(6), max_iters=3)
+        assert est.warm_start is None and est.stale
+
+    def test_replaced_oracles_keep_the_warm_start(self):
+        # f, h and the problem rebuilt around wrapped callables, as a caller
+        # counting oracle calls does: the family data carries over
+        problem = generate_instance("srlr", 200, 20, 0.1, seed=2).problem()
+        calls = Counter()
+        f = dataclasses.replace(
+            problem.f,
+            value=counted(problem.f.value, calls, "f.value"),
+            gradient=counted(problem.f.gradient, calls, "f.gradient"),
+        )
+        h = dataclasses.replace(problem.h, value=counted(problem.h.value, calls, "h.value"), prox=counted(problem.h.prox, calls, "h.prox"))
+        est = estimate_fstar(dataclasses.replace(problem, f=f, h=h), np.zeros(20))
+        assert est == estimate_fstar(problem, np.zeros(20))
+        assert est.warm_start == "newton"
+        # the Newton steps call no oracle: each visited point costs one call of each
+        assert calls == dict.fromkeys(["f.value", "f.gradient", "h.value", "h.prox"], est.iterations + 1)
 
 
 class TestCycleStop:

@@ -15,6 +15,7 @@ from proxrate.problem import (
     generate_instance,
     l1_prox,
     least_squares_oracle,
+    restricted_model,
     robust_log_oracle,
     soft_threshold,
     zero_prox,
@@ -227,6 +228,44 @@ class TestFusedEvaluation:
         value, gradient = rebuilt.value_and_gradient(rng.standard_normal(6))
         assert type(value) is float and value == 1.0
         assert gradient.dtype == float and gradient.tolist() == [2.0, 3.0]
+
+
+class TestRestrictedModel:
+    @pytest.mark.parametrize("kind, delta", [("srlr", None), ("lasso", None), ("elastic_net", 0.5)])
+    def test_value_gradient_and_hessian_of_the_restriction(self, rng, kind, delta):
+        data = generate_instance(kind, 40, 6, 0.1, seed=3, delta=delta)
+        problem = data.problem()
+        x = np.array([0.7, 0.0, -1.2, 0.3, 0.0, -0.4])
+        support = np.flatnonzero(x)
+        value, gradient, hessian = restricted_model(problem)(x, support)
+        assert value == pytest.approx(problem.objective(x), rel=1e-14)
+
+        def restricted(xs):
+            # F on the orthant of x's signs, as a function of the support
+            z = np.zeros(6)
+            z[support] = xs
+            return problem.objective(z)
+
+        def restricted_gradient(xs):
+            z = np.zeros(6)
+            z[support] = xs
+            return restricted_model(problem)(z, support)[1]
+
+        xs = x[support]
+        assert gradient == pytest.approx(central_difference_gradient(restricted, xs), rel=1e-6, abs=1e-6)
+        columns = [central_difference_gradient(lambda t: restricted_gradient(t)[j], xs) for j in range(support.size)]
+        assert hessian == pytest.approx(np.array(columns), rel=1e-6, abs=1e-6)
+
+    def test_problems_without_family_data_have_none(self):
+        data = generate_instance("lasso", 40, 6, 0.1, seed=3)
+        family = data.problem()
+        user_f = SmoothOracle(family.f.value, family.f.gradient, family.f.lipschitz)
+        assert restricted_model(family) is not None
+        assert restricted_model(CompositeProblem(family.f, zero_prox())) is None
+        assert restricted_model(CompositeProblem(user_f, family.h)) is None
+        # rebuilt by dataclasses.replace, the family data carries over
+        rebuilt = dataclasses.replace(family, f=dataclasses.replace(family.f, value=family.f.value))
+        assert restricted_model(rebuilt) is not None
 
 
 class TestSpectral:
