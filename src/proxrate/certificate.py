@@ -42,8 +42,9 @@ definition is at most bilinear in its operands, and mu enters only as
 a polynomial of degree <= 2 in t and <= 1 in u = 1/q. `_table` reads
 those coefficients off the definition evaluated once on the symbols t
 and u, lazily and once per process, and refuses any other monomial. A
-constraint at any (L, mu, gamma) and a combination are accumulated from
-nonzero coefficients only, in one loop over float arrays or Fractions.
+constraint at any (L, mu, gamma) and a combination are one contraction
+of their tables' cached dense array with the value * feature products
+(`_accumulate`), on float arrays, Fractions or symbols alike.
 """
 from __future__ import annotations
 
@@ -85,6 +86,7 @@ _NE = _NQ + _NS
 _F2, _H1, _H2 = range(_NQ, _NE)
 _Q_ENTRY = np.empty((_NV, _NV), dtype=int)  # the entry holding Q[i, j]
 _Q_ENTRY[_UPPER] = _Q_ENTRY[_UPPER[::-1]] = range(_NQ)
+_DIAGONAL = np.diag(_Q_ENTRY)
 
 
 class GramExpression:
@@ -160,7 +162,7 @@ class GramExpression:
 
     def trace(self):
         """Trace of Q, per batch point."""
-        return self.a[np.diag(_Q_ENTRY)].sum(0)
+        return self.a[_DIAGONAL].sum(0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +344,12 @@ _T, _Q = _RationalFunction({(1, 0): 1}), _RationalFunction({(0, 1): 1})  # t; q,
 # ---------------------------------------------------------------------------
 # coefficient tables
 
-def _expression(entries, t, q, exact) -> GramExpression:
-    """The expression with these _NE entries, each a number or an array
-    on the broadcast shape of (t, q)."""
-    a = np.empty((_NE,) + np.broadcast_shapes(np.shape(t), np.shape(q)), dtype=object if exact else float)
-    for e, value in enumerate(entries):
-        a[e] = value
-    return GramExpression._of(a)
+def _rows(rows, shape, exact) -> np.ndarray:
+    """These numbers or arrays, each broadcast to `shape`, as one array's rows."""
+    a = np.empty((len(rows),) + shape, dtype=object if exact else float)
+    for i, row in enumerate(rows):
+        a[i] = row
+    return a
 
 
 def _features(t, u):
@@ -362,14 +363,12 @@ def _features(t, u):
 
 
 @functools.cache
-def _table(name: str, exact: bool) -> tuple:
+def _table(name: str) -> tuple:
     """Constraint `name` at L = 1 as (feature, ((entry, coefficient), ...))
-    rows, indexing `_features` and the _NE entries, nonzero coefficients
-    only: Fractions in exact mode, and their floats otherwise. They are
-    read off the definition (`_definition`) evaluated on the symbols t and
-    u = 1/q, and a term outside `_features` raises VerificationError."""
-    if not exact:
-        return tuple((f, tuple((e, float(c)) for e, c in row)) for f, row in _table(name, True))
+    rows, indexing `_features` and the _NE entries, nonzero Fraction
+    coefficients only. They are read off the definition (`_definition`)
+    evaluated on the symbols t and u = 1/q, and a term outside `_features`
+    raises VerificationError."""
     feature = {m: f for f, x in enumerate(_features(_T, _Q)) for m in _lift(x).num}
     rows = [[] for _ in feature]
     for e, x in enumerate(_definition(name, 1 / _Q, _T).a):
@@ -381,16 +380,34 @@ def _table(name: str, exact: bool) -> tuple:
     return tuple((f, tuple(row)) for f, row in enumerate(rows) if row)
 
 
-def _accumulate(entries, terms, features, exact) -> list:
-    """entries + sum(m * table) over the (constraint name, m) terms, the
-    tables read at `features`; updates and returns the list. Floats read
-    the float tables, and Fractions and symbols the exact ones."""
-    for name, m in terms:
-        for f, row in _table(name, exact):
-            mf = m * features[f]
-            for e, coeff in row:
-                entries[e] = entries[e] + coeff * mf
-    return entries
+# the objective's tables on the feature 1, f2 + h2 and -h1
+_OBJECTIVE = {"f2+h2": ((0, ((_F2, 1), (_H2, 1))),), "-h1": ((0, ((_H1, -1),)),)}
+
+
+@functools.cache
+def _dense(names: tuple, exact: bool) -> tuple:
+    """The tables of the terms `names` (constraints or `_OBJECTIVE` parts)
+    folded into one array: (columns, C), a column per table row, in table
+    order, as its (term, feature) indices, and C of shape (_NE, columns)
+    holding its coefficients, zeros elsewhere; Fractions in exact mode,
+    and their floats otherwise."""
+    rows = [(i, f, dict(row)) for i, name in enumerate(names) for f, row in _OBJECTIVE.get(name) or _table(name)]
+    C = np.array([[row.get(e, 0) for _i, _f, row in rows] for e in range(_NE)], dtype=object if exact else float)
+    return tuple((i, f) for i, f, _row in rows), C
+
+
+def _accumulate(names: tuple, values, t, u, exact) -> np.ndarray:
+    """sum(values[i] * table of names[i]) at the features of (t, u), as a
+    (_NE, *batch) entry array over the broadcast shape of (t, u): one
+    contraction of `_dense`'s array with the value * feature products."""
+    columns, C = _dense(names, exact)
+    features = _features(t, u)
+    # the column axis is never contiguous, so at every batch shape einsum adds
+    # the columns in order from zero: a point has the same bits as on a grid
+    P = np.empty((len(columns), 2) + np.broadcast(t, u).shape, dtype=C.dtype)[:, 0]
+    for k, (i, f) in enumerate(columns):
+        np.multiply(values[i], features[f], out=P[k : k + 1])
+    return np.einsum("ek,k...->e...", C, P)
 
 
 def build_constraint(name: str, L, mu, gamma) -> GramExpression:
@@ -406,9 +423,9 @@ def build_constraint(name: str, L, mu, gamma) -> GramExpression:
         L, mu, gamma = map(np.frompyfunc(Fraction, 1, 1), (L, mu, gamma))
     else:
         L, mu, gamma = (np.asarray(v, dtype=float) if np.shape(v) else float(v) for v in (L, mu, gamma))
-    t, u = L * gamma, L / mu
-    entries = _accumulate([Fraction(0) if exact else 0.0] * _NE, [(name, 1)], _features(t, u), exact)
-    return _expression([v / L for v in entries[:_F2]] + entries[_F2:], t, u, exact)
+    a = _accumulate((name,), [1], L * gamma, L / mu, exact)
+    a[:_NQ] = a[:_NQ] / L
+    return GramExpression._of(a)
 
 
 # ---------------------------------------------------------------------------
@@ -445,39 +462,30 @@ class Certificate:
 
     def remainder_expression(self, t, q, coeff=None, weights=None) -> GramExpression:
         """coeff * ||w||^2 with w = sum of weight * vector symbol, written
-        entry by entry as coeff * w_i * w_j. `coeff` and `weights` are
+        entry by entry as coeff * (w_i * w_j). `coeff` and `weights` are
         remainder_coeff(t, q) and remainder_weights(t, q), when known."""
         exact = _is_exact(t, q)
-        entries = [Fraction(0) if exact else 0.0] * _NE
+        zero = Fraction(0) if exact else 0.0
         coeff = self.remainder_coeff(t, q) if coeff is None else coeff
         weights = self.remainder_weights(t, q) if weights is None else weights
-        for e, wij in _square(weights):
-            entries[e] = coeff * wij
-        return _expression(entries, t, q, exact)
+        shape = np.broadcast(t, q).shape
+        w = _rows([weights.get(name, zero) for name in VECTOR_SYMBOLS], shape, exact)
+        a = np.full((_NE,) + shape, zero, dtype=w.dtype)
+        a[:_NQ] = coeff * (w[_UPPER[0]] * w[_UPPER[1]])
+        return GramExpression._of(a)
 
     def weighted_combination(self, t, q, values=None, rho=None) -> GramExpression:
-        """objective - rho*gap - sum(multiplier * constraint), at L = 1,
-        accumulated over the constraints' coefficient tables. `values` (the
+        """objective - rho*gap - sum(multiplier * constraint), at L = 1, as
+        one contraction of the tables (`_accumulate`). `values` (the
         multipliers at (1, q, t), in catalog order) and `rho` (the rate)
         are the formulas' values, when already known. Float scalars or
         arrays give float entries; Fractions and symbols exact ones."""
-        exact = _is_exact(t, q)
         if values is None:
             values = [formula(1, q, t) for _cname, _label, formula in self.multipliers]
         rho = self.rate(1, q, t) if rho is None else rho
-        entries = [Fraction(0) if exact else 0.0] * _NE
-        entries[_F2] = entries[_H2] = entries[_F2] + 1
-        entries[_H1] = -rho
         # IEEE negation is exact: adding coeff * (-m * x) is subtracting coeff * (m * x)
-        terms = [(cname, -m) for (cname, _label, _formula), m in zip(self.multipliers, values)]
-        return _expression(_accumulate(entries, terms, _features(t, 1 / q), exact), t, q, exact)
-
-
-def _square(weights) -> list:
-    """(entry, w_i * w_j) for the entries of Q's upper triangle in
-    ||sum_i w_i * symbol_i||^2, weights given as {symbol name: w_i}."""
-    w = [(VECTOR_SYMBOLS.index(name), weight) for name, weight in weights.items()]
-    return [(_Q_ENTRY[i, j], wi * wj) for (i, wi), (j, wj) in itertools.combinations_with_replacement(w, 2)]
+        names = ("f2+h2", "-h1", *(cname for cname, _label, _formula in self.multipliers))
+        return GramExpression._of(_accumulate(names, [1, rho, *(-m for m in values)], t, 1 / q, _is_exact(t, q)))
 
 
 def _certificate(multipliers, rho, **fields) -> Certificate:
@@ -678,6 +686,13 @@ def _rational(value) -> Optional[Fraction]:
         return None
 
 
+def _formulas(cert: Certificate, t, q) -> tuple:
+    """The certificate's formulas at (1, q, t): the multipliers in catalog
+    order, the rate, the remainder coefficient and its weights."""
+    values = [formula(1, q, t) for _cname, _label, formula in cert.multipliers]
+    return values, cert.rate(1, q, t), cert.remainder_coeff(t, q), cert.remainder_weights(t, q)
+
+
 @functools.cache
 def _integer_forms(cert: Certificate) -> Optional[tuple]:
     """The one analysis of a certificate, None when it is not proved. Its
@@ -694,9 +709,9 @@ def _integer_forms(cert: Certificate) -> Optional[tuple]:
     the monomials a^i A^(dt-i) c^j C^(dq-j) is its value times
     A^dt C^dq > 0, one factor that every ratio cancels and no sign sees."""
     try:
-        values = [_lift(formula(1, _Q, _T)) for _cname, _label, formula in cert.multipliers]
-        rho, coeff = _lift(cert.rate(1, _Q, _T)), _lift(cert.remainder_coeff(_T, _Q))
-        weights = {name: _lift(w) for name, w in cert.remainder_weights(_T, _Q).items()}
+        values, rho, coeff, weights = _formulas(cert, _T, _Q)
+        values, rho, coeff = [_lift(v) for v in values], _lift(rho), _lift(coeff)
+        weights = {name: _lift(w) for name, w in weights.items()}
         if None in (*values, rho, coeff, *weights.values()):
             return None
         diff = cert.weighted_combination(_T, _Q, values, rho).a - cert.remainder_expression(_T, _Q, coeff, weights).a
@@ -763,12 +778,9 @@ def _decide_fraction(cert: Certificate, q: Fraction, t: Fraction) -> tuple:
     is proved and those values are rational, else the point's exact
     residual is reported as a float; a NaN or infinite value fails each
     check that reads it."""
-    raw = [formula(1, q, t) for _cname, _label, formula in cert.multipliers]
-    m = [_rational(v) for v in raw]
-    rho = _rational(cert.rate(1, q, t))
-    coeff = cert.remainder_coeff(t, q)
-    weights = {name: _rational(w) for name, w in cert.remainder_weights(t, q).items()}
-    c = _rational(coeff)
+    raw, rho, coeff, weights = _formulas(cert, t, q)
+    m, rho, c = [_rational(v) for v in raw], _rational(rho), _rational(coeff)
+    weights = {name: _rational(w) for name, w in weights.items()}
     rel, identity_bad, trace, trace_bad = math.nan, True, math.nan, True
     if c is not None and None not in weights.values():
         trace = c * sum(w * w for w in weights.values())  # coeff * ||w||^2
@@ -789,108 +801,100 @@ def verify_certificate(cert: Certificate, L, mu, gamma, exact: bool = False) -> 
 
     Every check is decided per gamma at (1, mu/L, L*gamma): multipliers
     >= -tol, relative identity residual <= tol, remainder coefficient <=
-    tol and remainder eigenvalue <= tol. Float mode converts the
-    parameters to floats once and checks a grid in arrays, with the module
-    constants as tol. Exact mode converts them to Fractions (binary floats
-    are exact rationals) and checks one point at a time with tol = 0
-    (`_decide_exact`): the identity is decided once for every (t, q) on
-    symbols, and the signs and reported values of a proved certificate
-    come from its formulas' integer forms at the point. An unproved
-    certificate is decided on the formulas' Fraction values and reports
-    the float of the point's exact residual. Each failure names
-    the first failing gamma. Interval membership is `Certificate.contains`,
-    the rule `rates.rate_formula` picks its case by, so every gamma that
-    `rate_formula` assigns to a case verifies against it. A point inside
-    by that float rule can still have an exact t = L*gamma just outside
-    the interval, where exact mode sees the certificate fail;
-    `interval_grid` keeps its points inside. A NaN fails every check
-    that reads it. (L, mu) must lie in `check_parameters`' domain, with
-    mu <= L, and gamma must hold a point; float mode also needs a finite
-    float L/mu (`_features`).
+    tol and remainder eigenvalue <= tol; each reports its worst value and
+    names its first failing gamma. Float mode checks a grid in float
+    arrays with the module constants as tol, one reduction per check, and
+    gives a point the same bits alone as on a grid. Exact mode refuses an
+    L, mu or gamma that its float would round, and decides one point at a
+    time in Python scalars with tol = 0 (`_decide_exact`). Membership is
+    `Certificate.contains`, the rule `rates.rate_formula` picks its case
+    by, so every gamma that `rate_formula` assigns to a case verifies
+    against it. A point inside by that float rule can still have an exact
+    t = L*gamma just outside, where exact mode sees the certificate fail;
+    `interval_grid` keeps its points inside. A NaN fails every check that
+    reads it. (L, mu) must lie in `check_parameters`' domain, with mu <= L,
+    and gamma must hold a point; float mode also needs a finite float L/mu
+    (`_features`).
     """
     check_parameters(L, mu)
     check_modulus(L, mu)
-    gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if not gamma_arr.size:
+    if exact:  # one point makes no array but its report's
+        gammas = [gamma] if isinstance(gamma, float) else np.ravel(gamma).tolist()
+        for name, x in (("L", L), ("mu", mu), *(("gamma", g) for g in gammas)):
+            if not (isinstance(x, float) or float(x) == x):
+                raise DomainError(f"exact mode reads binary floats, and {name}={x!r} is not one")
+        gammas = [float(g) for g in gammas]
+        outside = [g for g in gammas if not cert.contains(float(L), g)]
+    else:
+        gammas = np.atleast_1d(np.asarray(gamma, dtype=float))
+        outside = gammas[~cert.gamma_in_interval(L, gammas)]
+    if not len(gammas):
         raise DomainError(f"no gamma to check for {cert.case_id}")
-    inside = cert.gamma_in_interval(L, gamma_arr)
-    if not np.all(inside):
-        bad = gamma_arr[~inside]
-        raise DomainError(f"gamma {float(bad[0])!r} outside interval of {cert.case_id}")
-
+    if len(outside):
+        raise DomainError(f"gamma {float(outside[0])!r} outside interval of {cert.case_id}")
+    tol = 0 if exact else IDENTITY_TOL
     if exact:
-        identity_tol = 0
         Lx = Fraction(float(L))
         q = Fraction(float(mu)) / Lx
-        points = [_decide_exact(cert, q, Lx * Fraction(g)) for g in gamma_arr.tolist()]
-        floats, mult_bad, rel, rel_bad, coeff, coeff_bad, trace, trace_bad = map(np.array, zip(*points))
-        floats = floats.T
+        points = [_decide_exact(cert, q, Lx * Fraction(g)) for g in gammas]
+        floats, mult_bad, rel, rel_bad, coeff, coeff_bad, trace, trace_bad = zip(*points)
+        one = len(points) == 1
+        mults = {label: m[0] if one else np.array(m) for (_cname, label, _formula), m in zip(cert.multipliers, zip(*floats))}
+        worst = [_worst(min, itertools.chain(*floats)), _worst(max, rel), _worst(max, coeff), _worst(max, trace)]
+        first = [bad.index(True) if True in bad else None for bad in (mult_bad, rel_bad, coeff_bad, trace_bad)]
+        gammas = np.array(gammas)
+        coefficient = coeff[0] if one else np.array(coeff)
     else:
-        identity_tol = IDENTITY_TOL
-        Lx = float(L)
-        q = float(mu) / Lx
-        # the same IEEE products as one per point
-        t = Lx * gamma_arr
-        if not np.ndim(gamma):
-            t = float(t[0])
-
-        def per_gamma(value):
-            if np.shape(value) == gamma_arr.shape:
-                return value
-            return np.broadcast_to(np.asarray(value, dtype=float), gamma_arr.shape)
-
-        raw = [formula(1, q, t) for _cname, _label, formula in cert.multipliers]
-        values = np.stack([per_gamma(m) for m in raw])
-        floats = values.astype(float)
-        raw_coeff = cert.remainder_coeff(t, q)
-        coeff = per_gamma(raw_coeff)
+        q = float(mu) / float(L)
+        t = float(L) * gammas
+        # one point's formulas run on an array, as a grid's: on a float, x**2
+        # is C's pow, which can round otherwise than numpy's x*x
+        try:  # a formula that takes only floats runs on no grid, but on one float
+            raw, rho, coeff, weights = _formulas(cert, t, q)
+        except TypeError:
+            if t.size > 1:
+                raise
+            raw, rho, coeff, weights = _formulas(cert, float(t[0]), q)
+        coeff = _rows([coeff], t.shape, False)[0]
         # a NaN compares false and so fails; an infinite multiplier makes
         # inf - inf in the combination
         with np.errstate(invalid="ignore"):
-            combo = cert.weighted_combination(t, q, raw)
-            remainder = cert.remainder_expression(t, q, raw_coeff)
-            mult_bad = ~(values >= -MULTIPLIER_TOL).all(0)
-            rel = 0.0  # relative to the largest term; a zero residual stays zero
-            diff = combo.a - remainder.a
-            if np.any(diff):
-                rel = np.abs(diff).max(0) / np.maximum(np.maximum(combo.max_abs(), remainder.max_abs()), 1)
-            rel = per_gamma(rel)
-            rel_bad = ~(rel <= IDENTITY_TOL)
-        coeff_bad = ~(coeff <= EIGENVALUE_TOL)
+            combo = cert.weighted_combination(t, q, raw, rho)
+            remainder = cert.remainder_expression(t, q, coeff, weights)
+            rel = np.abs(combo.a - remainder.a).max(0) / np.maximum(np.maximum(combo.max_abs(), remainder.max_abs()), 1)
+        floats = _rows(raw, t.shape, False)
         # the remainder is coeff * w w^T, one explicit square: its eigenvalues
-        # are 0 and trace = coeff * ||w||^2
-        trace = per_gamma(remainder.trace())
-        trace_bad = ~(trace <= EIGENVALUE_TOL)
-
-    failures = []
-
-    def check(bad, message):
-        if bad.any():
-            failures.append(f"{message} at gamma={float(gamma_arr[bad.argmax()])!r}")
-
-    mults = {
-        label: row if row.size > 1 else float(row[0])
-        for (_cname, label, _formula), row in zip(cert.multipliers, floats)
-    }
-    min_mult = float(floats.min())
-    rel_residual = float(rel.max())
-    check(mult_bad, f"negative multiplier {min_mult:.3e}")
-    check(rel_bad, f"identity residual {rel_residual:.3e} exceeds {identity_tol:.1e}")
-    check(coeff_bad, f"remainder coefficient positive: {float(coeff.max()):.3e}")
-    max_eig = float(max(0, trace.max()))
-    check(trace_bad, f"remainder not negative semidefinite: max eig {float(trace.max()):.3e}")
-
+        # are 0 and trace = coeff * ||w||^2. A check holds where its value is
+        # at most its bound, and one reduction decides it over the grid
+        checks = (-floats.min(0), MULTIPLIER_TOL), (rel, IDENTITY_TOL), (coeff, EIGENVALUE_TOL), (remainder.trace(), EIGENVALUE_TOL)
+        worst = [float(x.max()) for x, _bound in checks]
+        first = [None if w <= bound else int(np.argmin(x <= bound)) for (x, bound), w in zip(checks, worst)]
+        worst[0] = -worst[0]
+        mults = {label: row if row.size > 1 else float(row[0]) for (_cname, label, _formula), row in zip(cert.multipliers, floats)}
+        coefficient = coeff.item(0) if coeff.size == 1 else np.array(coeff)
+    messages = (
+        "negative multiplier {:.3e}",
+        "identity residual {:.3e} exceeds {tol:.1e}",
+        "remainder coefficient positive: {:.3e}",
+        "remainder not negative semidefinite: max eig {:.3e}",
+    )
     return CertificateCheck(
         case_id=cert.case_id,
         check_kind=cert.check_kind,
-        gamma=gamma_arr,
+        gamma=gammas,
         multipliers=mults,
-        min_multiplier=min_mult,
-        identity_residual=rel_residual,
-        remainder_coefficient=coeff.item(0) if coeff.size == 1 else np.array(coeff),
-        remainder_max_eigenvalue=max_eig,
-        failures=failures,
+        min_multiplier=worst[0],
+        identity_residual=worst[1],
+        remainder_coefficient=coefficient,
+        remainder_max_eigenvalue=float(max(0, worst[3])),
+        failures=[f"{m.format(v, tol=tol)} at gamma={float(gammas[i])!r}" for m, v, i in zip(messages, worst, first) if i is not None],
     )
+
+
+def _worst(pick, values) -> float:
+    """pick (min or max) of these numbers as a float; NaN if one is, as numpy."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else float(pick(values))
 
 
 @dataclass
@@ -911,13 +915,7 @@ def sweep_verify(case_id: str, L, mu, gamma_grid) -> SweepSummary:
     check = verify_certificate(cert, L, mu, grid)
     if not check.ok:
         raise VerificationError(f"{case_id} fails: {'; '.join(check.failures)}")
-    return SweepSummary(
-        case_id=case_id,
-        n_points=int(grid.size),
-        worst_identity_residual=check.identity_residual,
-        min_multiplier=check.min_multiplier,
-        max_remainder_eigenvalue=check.remainder_max_eigenvalue,
-    )
+    return SweepSummary(case_id, int(grid.size), check.identity_residual, check.min_multiplier, check.remainder_max_eigenvalue)
 
 
 def interval_grid(cert: Certificate, L: float, n: int) -> np.ndarray:

@@ -239,9 +239,9 @@ class TestVerification:
                 assert chk.remainder_max_eigenvalue <= 1e-10
 
     @staticmethod
-    def assert_grid_reports_equal_pointwise_reports(exact):
+    def assert_grid_reports_equal_pointwise_reports(exact, n=9):
         for cert in cm.certificate_catalog():
-            grid = cm.interval_grid(cert, 1.3, 9)
+            grid = cm.interval_grid(cert, 1.3, n)
             chk = cm.verify_certificate(cert, 1.3, 0.2, grid, exact=exact)
             points = [cm.verify_certificate(cert, 1.3, 0.2, float(g), exact=exact) for g in grid]
             for i, point in enumerate(points):
@@ -261,6 +261,55 @@ class TestVerification:
     def test_exact_grid_reports_equal_pointwise_reports(self):
         # exact mode decides a grid one point at a time
         self.assert_grid_reports_equal_pointwise_reports(exact=True)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_benchmark_size_grid_reports_equal_pointwise_reports(self, exact):
+        # a numpy kernel that changes with the batch size would show only
+        # on larger grids, and so would a formula's x**2 that rounds
+        # otherwise on a float than on an array; 500 is the benchmark's grid
+        self.assert_grid_reports_equal_pointwise_reports(exact, n=500)
+
+    def test_grid_combination_equals_pointwise_combinations(self):
+        # the contraction adds the same products in the same order at every
+        # batch shape: a 500-point grid, one point of it, and a scalar
+        q = 0.2 / 1.3
+        for cert in cm.certificate_catalog():
+            t = 1.3 * cm.interval_grid(cert, 1.3, 500)
+            values = [np.broadcast_to(formula(1, q, t), t.shape) for _cname, _label, formula in cert.multipliers]
+            rho = cert.rate(1, q, t)
+            grid = cert.weighted_combination(t, q, values, rho).a
+            for i, ti in enumerate(t.tolist()):
+                point = [float(v[i]) for v in values]
+                assert np.array_equal(cert.weighted_combination(t[i : i + 1], q, point, rho[i]).a[:, 0], grid[:, i])
+                assert np.array_equal(cert.weighted_combination(ti, q, point, float(rho[i])).a, grid[:, i])
+
+    @pytest.mark.parametrize("case", [c.case_id for c in cm.certificate_catalog()])
+    def test_float_mode_catches_each_tampered_multiplier(self, case):
+        # each multiplier reaches the combination through its own columns
+        # of the certificate's coefficient array: scaling any one of them
+        # breaks the identity, and only it
+        cert = cm.certificate_for(case)
+        grid = cm.interval_grid(cert, 1.3, 500)
+        for i, (cname, label, formula) in enumerate(cert.multipliers):
+            tampered = (cname, label, scaled(formula, 1.001))
+            bad = dataclasses.replace(cert, multipliers=cert.multipliers[:i] + (tampered,) + cert.multipliers[i + 1 :])
+            chk = cm.verify_certificate(bad, 1.3, 0.2, grid)
+            assert len(chk.failures) == 1 and chk.failures[0].startswith("identity residual"), (case, label, chk.failures)
+
+    def test_exact_mode_reads_binary_floats(self):
+        # at L = 1/3, mu = 1/30 and gamma = 1/2 (t = 1/6, q = 1/10) the
+        # remainder coefficient is -40/31, and L = 10/3, gamma = 9/20 is the
+        # closed endpoint t = 3/2: exact mode refuses a parameter that its
+        # float would round, rather than check another point
+        cert = cm.certificate_for("Thm3.2-case1")
+        third = Fraction(1, 3)
+        for L, mu, gamma in [(third, third / 10, Fraction(1, 2)), (10 * third, third, Fraction(9, 20)), (1.0, 0.1, [0.5, third])]:
+            with pytest.raises(DomainError, match="binary float"):
+                cm.verify_certificate(cert, L, mu, gamma, exact=True)
+        # an int or a Fraction that is a float is read as that float
+        want = cm.verify_certificate(cert, 1.5, 0.25, np.array([0.5, 1.0]), exact=True)
+        got = cm.verify_certificate(cert, Fraction(3, 2), Fraction(1, 4), [Fraction(1, 2), 1], exact=True)
+        assert got.ok and repr(got) == repr(want)
 
     def test_equality_case_combination_is_identically_zero(self, rng):
         cert = cm.certificate_for("Thm4.2-case2")
@@ -544,7 +593,7 @@ class TestCoefficientTables:
         for name in cm.CONSTRAINT_NAMES:
             entries = [Fraction(0)] * 9
             features = cm._features(t, 1 / q)
-            for f, row in cm._table(name, True):
+            for f, row in cm._table(name):
                 for e, coeff in row:
                     assert type(coeff) is Fraction, name
                     entries[e] += coeff * features[f]
@@ -587,7 +636,7 @@ class TestCoefficientTables:
         original = cm._definition
         monkeypatch.setattr(cm, "_definition", lambda name, q, t: t**3 * original(name, q, t))
         with pytest.raises(VerificationError, match="degree"):
-            cm._table.__wrapped__("C12", True)  # uncached, so no table is replaced
+            cm._table.__wrapped__("C12")  # uncached, so no table is replaced
 
     def test_tables_are_built_on_first_use(self):
         code = (
@@ -600,12 +649,11 @@ class TestCoefficientTables:
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cm.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        # nothing at import; a float sweep builds Thm4.1's three float tables
-        # and the exact ones they come from, and analyses nothing; the first
-        # exact check analyses Thm4.1 once (its formulas on symbols, its
-        # proof on those exact tables, its integer forms), and the second
-        # reuses that analysis
-        assert out.stdout.splitlines() == ["0 0", "6 0", "6 1", "6 1"]
+        # nothing at import; a float sweep builds Thm4.1's three tables and
+        # analyses nothing; the first exact check analyses Thm4.1 once (its
+        # formulas on symbols, its proof on those tables, its integer
+        # forms), and the second reuses that analysis
+        assert out.stdout.splitlines() == ["0 0", "3 0", "3 1", "3 1"]
 
 
 def scaled(f, factor=Fraction(1001, 1000)):
